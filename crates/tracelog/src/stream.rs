@@ -54,7 +54,7 @@ use std::fmt;
 use std::io::{self, BufRead, Write};
 
 use crate::ids::{Interner, LockId, ThreadId, VarId};
-use crate::parser::{parse_event_line, ParseTraceError};
+use crate::parser::{LineParser, ParseErrorKind, ParseTraceError, MAX_LINE_BYTES};
 use crate::trace::{Event, Op, Trace};
 use crate::validate::{Validator, ValiditySummary, WellFormedError};
 
@@ -406,11 +406,14 @@ impl<S: EventSource + ?Sized> EventSource for Box<S> {
 
 /// Incremental `.std` parser over any buffered reader.
 ///
-/// Reads one line per event, interning names as they first occur; memory
-/// use is bounded by the name tables plus a single line buffer, never by
-/// the trace length. Errors carry the 1-based line number and are
-/// **fatal**: after one, the reader reports end-of-stream rather than
-/// resuming past the malformed line.
+/// Parses each line as bytes inside the reader's own buffer
+/// ([`BufRead::fill_buf`]), interning names as they first occur. A line
+/// that ends inside the buffer is never copied; only one that straddles
+/// a refill is gathered in a carry buffer, which holds at most
+/// [`MAX_LINE_BYTES`]. Memory use is therefore bounded by the name
+/// tables plus that carry, never by the trace length. Errors carry the
+/// 1-based line number and are **fatal**: after one, the reader reports
+/// end-of-stream rather than resuming past the malformed line.
 ///
 /// # Examples
 ///
@@ -426,11 +429,10 @@ impl<S: EventSource + ?Sized> EventSource for Box<S> {
 #[derive(Debug)]
 pub struct StdReader<R> {
     reader: R,
-    threads: Interner,
-    locks: Interner,
-    vars: Interner,
+    parser: LineParser,
     line: usize,
-    buf: String,
+    /// The start of a line that straddles a refill of `reader`.
+    carry: Vec<u8>,
     done: bool,
     /// Events yielded so far (either iteration mode).
     events: u64,
@@ -445,11 +447,9 @@ impl<R: BufRead> StdReader<R> {
     pub fn new(reader: R) -> Self {
         Self {
             reader,
-            threads: Interner::new(),
-            locks: Interner::new(),
-            vars: Interner::new(),
+            parser: LineParser::new(),
             line: 0,
-            buf: String::new(),
+            carry: Vec::new(),
             done: false,
             events: 0,
             recent_lines: Vec::new(),
@@ -488,20 +488,19 @@ impl<R: BufRead> StdReader<R> {
     /// [`crate::parse_trace`] avoids duplicating the tables).
     #[must_use]
     pub fn into_names(self) -> (Interner, Interner, Interner) {
-        (self.threads, self.locks, self.vars)
+        (self.parser.threads, self.parser.locks, self.parser.vars)
     }
 
     /// Session reset onto a new input: the parser restarts from line 1
-    /// with empty name tables while the line buffer, the attribution
+    /// with empty name tables while the carry buffer, the attribution
     /// window and the interner capacity stay warm. This is how a resident
     /// worker reads an unbounded stream of trace files through one
     /// reader session instead of constructing a parser per trace.
     pub fn reset(&mut self, reader: R) {
         self.reader = reader;
-        self.threads.clear();
-        self.locks.clear();
-        self.vars.clear();
+        self.parser.clear();
         self.line = 0;
+        self.carry.clear();
         self.done = false;
         self.events = 0;
         self.recent_lines.clear();
@@ -516,28 +515,49 @@ impl<R: BufRead> StdReader<R> {
     #[inline]
     fn read_one(&mut self) -> Result<Option<Event>, SourceError> {
         loop {
-            self.buf.clear();
-            if self.reader.read_line(&mut self.buf)? == 0 {
-                self.done = true;
-                return Ok(None);
-            }
-            self.line += 1;
-            let line = self.buf.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            match parse_event_line(
-                line,
-                self.line,
-                &mut self.threads,
-                &mut self.locks,
-                &mut self.vars,
-            ) {
-                Ok(event) => {
+            let buf = match self.reader.fill_buf() {
+                Ok(buf) => buf,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            };
+            let parsed = match find_newline(buf) {
+                Some(end) if self.carry.is_empty() => {
+                    self.line += 1;
+                    let parsed = self.parser.parse_line(&buf[..end], self.line);
+                    self.reader.consume(end + 1);
+                    parsed
+                }
+                Some(end) => {
+                    if self.carry.len() + end > MAX_LINE_BYTES {
+                        return Err(self.line_too_long());
+                    }
+                    self.carry.extend_from_slice(&buf[..end]);
+                    self.reader.consume(end + 1);
+                    self.parse_carry()
+                }
+                None if buf.is_empty() && self.carry.is_empty() => {
+                    self.done = true;
+                    return Ok(None);
+                }
+                // End of input inside a line: it is the last one.
+                None if buf.is_empty() => self.parse_carry(),
+                None => {
+                    if self.carry.len() + buf.len() > MAX_LINE_BYTES {
+                        return Err(self.line_too_long());
+                    }
+                    let len = buf.len();
+                    self.carry.extend_from_slice(buf);
+                    self.reader.consume(len);
+                    continue;
+                }
+            };
+            match parsed {
+                Ok(Some(event)) => {
                     self.events += 1;
                     self.recent_lines.push(self.line);
                     return Ok(Some(event));
                 }
+                Ok(None) => {}
                 Err(e) => {
                     self.done = true;
                     return Err(e.into());
@@ -545,6 +565,42 @@ impl<R: BufRead> StdReader<R> {
             }
         }
     }
+
+    /// Parses the line gathered in the carry and empties it.
+    fn parse_carry(&mut self) -> Result<Option<Event>, ParseTraceError> {
+        self.line += 1;
+        let parsed = self.parser.parse_line(&self.carry, self.line);
+        self.carry.clear();
+        parsed
+    }
+
+    /// Fails the line being gathered, which is known to exceed
+    /// [`MAX_LINE_BYTES`] before its end is in sight.
+    fn line_too_long(&mut self) -> SourceError {
+        self.done = true;
+        self.line += 1;
+        self.carry.clear();
+        ParseTraceError { line: self.line, kind: ParseErrorKind::LineTooLong }.into()
+    }
+}
+
+/// Offset of the first `\n` in `bytes`, scanning a word at a time.
+#[inline]
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_ne_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let mut offset = 0;
+    for word in words.by_ref() {
+        let x = u64::from_le_bytes(word.try_into().expect("8 bytes")) ^ NEWLINES;
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(offset + zeros.trailing_zeros() as usize / 8);
+        }
+        offset += 8;
+    }
+    words.remainder().iter().position(|&b| b == b'\n').map(|i| offset + i)
 }
 
 impl<R: BufRead> EventSource for StdReader<R> {
@@ -576,7 +632,8 @@ impl<R: BufRead> EventSource for StdReader<R> {
     }
 
     fn names(&self) -> SourceNames<'_> {
-        SourceNames { threads: &self.threads, locks: &self.locks, vars: &self.vars }
+        let parser = &self.parser;
+        SourceNames { threads: &parser.threads, locks: &parser.locks, vars: &parser.vars }
     }
 
     /// Text positions are 1-based source lines: [`StdReader::line_of`]
@@ -845,32 +902,73 @@ pub fn collect_trace<S: EventSource + ?Sized>(source: &mut S) -> Result<Trace, S
 /// number of events written. [`crate::write_trace`] is a thin wrapper, so
 /// there is exactly one serialiser.
 ///
+/// Lines are assembled from byte slices and hand-formatted offsets in a
+/// local buffer, which goes to `out` in large writes.
+///
 /// # Errors
 ///
-/// Propagates source errors and write failures.
+/// Propagates source errors and write failures. The lines of the events
+/// before a source error are written first.
 pub fn copy_events<S, W>(source: &mut S, out: &mut W) -> Result<u64, SourceError>
 where
     S: EventSource + ?Sized,
     W: Write,
 {
+    const FLUSH_AT: usize = 1 << 16;
+    let mut text = Vec::with_capacity(FLUSH_AT + 256);
     let mut i = 0u64;
-    while let Some(e) = source.next_event()? {
+    loop {
+        let e = match source.next_event() {
+            Ok(Some(e)) => e,
+            Ok(None) => break,
+            Err(e) => {
+                out.write_all(&text)?;
+                return Err(e);
+            }
+        };
         let names = source.names();
-        let t = names.thread_name(e.thread);
-        match e.op {
-            Op::Read(x) => writeln!(out, "{t}|r({})|{i}", names.var_name(x))?,
-            Op::Write(x) => writeln!(out, "{t}|w({})|{i}", names.var_name(x))?,
-            Op::Acquire(l) => writeln!(out, "{t}|acq({})|{i}", names.lock_name(l))?,
-            Op::Release(l) => writeln!(out, "{t}|rel({})|{i}", names.lock_name(l))?,
-            Op::Fork(u) => writeln!(out, "{t}|fork({})|{i}", names.thread_name(u))?,
-            Op::Join(u) => writeln!(out, "{t}|join({})|{i}", names.thread_name(u))?,
-            Op::Begin => writeln!(out, "{t}|begin|{i}")?,
-            Op::End => writeln!(out, "{t}|end|{i}")?,
+        let (op, operand): (&[u8], Option<&str>) = match e.op {
+            Op::Read(x) => (b"|r(", Some(names.var_name(x))),
+            Op::Write(x) => (b"|w(", Some(names.var_name(x))),
+            Op::Acquire(l) => (b"|acq(", Some(names.lock_name(l))),
+            Op::Release(l) => (b"|rel(", Some(names.lock_name(l))),
+            Op::Fork(u) => (b"|fork(", Some(names.thread_name(u))),
+            Op::Join(u) => (b"|join(", Some(names.thread_name(u))),
+            Op::Begin => (b"|begin|", None),
+            Op::End => (b"|end|", None),
+        };
+        text.extend_from_slice(names.thread_name(e.thread).as_bytes());
+        text.extend_from_slice(op);
+        if let Some(name) = operand {
+            text.extend_from_slice(name.as_bytes());
+            text.extend_from_slice(b")|");
+        }
+        push_decimal(&mut text, i);
+        text.push(b'\n');
+        if text.len() >= FLUSH_AT {
+            out.write_all(&text)?;
+            text.clear();
         }
         i += 1;
     }
+    out.write_all(&text)?;
     out.flush()?;
     Ok(i)
+}
+
+/// Appends `n` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
 }
 
 #[cfg(test)]
@@ -1083,5 +1181,137 @@ mod tests {
         assert_eq!(replay.len(), trace.len());
         assert_eq!(source.trace().len(), trace.len());
         assert_eq!(source.into_trace().events(), trace.events());
+    }
+
+    /// The line and kind of the parse error a reader over `bytes` with
+    /// `capacity` bytes of buffer ends on.
+    fn parse_error(bytes: &[u8], capacity: usize) -> (usize, ParseErrorKind) {
+        let mut reader = StdReader::new(io::BufReader::with_capacity(capacity, bytes));
+        loop {
+            match reader.next_event() {
+                Ok(Some(_)) => {}
+                Ok(None) => panic!("expected a parse error"),
+                Err(SourceError::Parse(e)) => {
+                    assert_eq!(reader.line(), e.line);
+                    assert!(reader.next_event().unwrap().is_none(), "errors are fatal");
+                    return (e.line, e.kind);
+                }
+                Err(other) => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_names_its_line_inside_the_buffer() {
+        let bytes = b"t1|begin|0\nt1|w(\xff)|1\n";
+        assert_eq!(parse_error(bytes, 8192), (2, ParseErrorKind::InvalidUtf8));
+        let trailing = b"t1|begin|0\nt1|end|1\n\xff";
+        assert_eq!(parse_error(trailing, 8192), (3, ParseErrorKind::InvalidUtf8));
+        let err = SourceError::from(ParseTraceError { line: 3, kind: ParseErrorKind::InvalidUtf8 });
+        assert_eq!(err.to_string(), "line 3: not valid UTF-8");
+    }
+
+    #[test]
+    fn invalid_utf8_names_its_line_across_a_refill() {
+        // A 4-byte buffer splits every line, and the bad byte lands
+        // in the carried part of the line.
+        let bytes = b"t1|begin|0\nt1|w(\xff)|1\nt1|end|2\n";
+        for capacity in 1..8 {
+            assert_eq!(parse_error(bytes, capacity), (2, ParseErrorKind::InvalidUtf8));
+        }
+        // A multi-byte character split by a refill is still valid.
+        let mut reader = StdReader::new(io::BufReader::with_capacity(3, "t1|w(é)|0\n".as_bytes()));
+        assert!(reader.next_event().unwrap().is_some());
+        assert_eq!(reader.names().vars.name(0), "é");
+    }
+
+    #[test]
+    fn an_endless_line_fails_with_bounded_memory() {
+        let endless = io::Read::chain(&b"t1|begin|0\n"[..], io::repeat(b'x'));
+        let mut reader = StdReader::new(io::BufReader::new(endless));
+        assert!(reader.next_event().unwrap().is_some());
+        match reader.next_event() {
+            Err(SourceError::Parse(e)) => {
+                assert_eq!((e.line, e.kind), (2, ParseErrorKind::LineTooLong));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // The carry grew to the bound and no further.
+        assert!(reader.carry.capacity() > MAX_LINE_BYTES / 2);
+        assert!(reader.carry.capacity() <= MAX_LINE_BYTES);
+        assert!(reader.next_event().unwrap().is_none(), "errors are fatal");
+    }
+
+    #[test]
+    fn the_line_bound_is_the_same_in_and_across_buffers() {
+        let line = |len: usize| format!("t1|begin|{}\n", "0".repeat(len - "t1|begin|".len()));
+        let longest = format!("t1|begin|0\n{}", line(MAX_LINE_BYTES));
+        let too_long = format!("t1|begin|0\n{}", line(MAX_LINE_BYTES + 1));
+        for capacity in [7, 8192, 4 * MAX_LINE_BYTES] {
+            let mut reader =
+                StdReader::new(io::BufReader::with_capacity(capacity, longest.as_bytes()));
+            while reader.next_event().unwrap().is_some() {}
+            assert_eq!(reader.line(), 2);
+            let error = parse_error(too_long.as_bytes(), capacity);
+            assert_eq!(error, (2, ParseErrorKind::LineTooLong), "capacity {capacity}");
+        }
+    }
+
+    #[test]
+    fn copy_events_writes_every_operation_and_large_offsets() {
+        let mut tb = TraceBuilder::new();
+        let (t, u) = (tb.thread("main"), tb.thread("w"));
+        let (l, x) = (tb.lock("m"), tb.var("é"));
+        for _ in 0..1_000 {
+            tb.fork(t, u).begin(t).acquire(t, l).read(t, x).write(t, x).release(t, l).end(t);
+            tb.join(t, u);
+        }
+        let trace = tb.finish();
+        let mut out = Vec::new();
+        copy_events(&mut trace.stream(), &mut out).unwrap();
+        let expected: String = trace
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let names = trace.names();
+                let op = match e.op {
+                    Op::Read(x) => format!("r({})", names.var_name(x)),
+                    Op::Write(x) => format!("w({})", names.var_name(x)),
+                    Op::Acquire(l) => format!("acq({})", names.lock_name(l)),
+                    Op::Release(l) => format!("rel({})", names.lock_name(l)),
+                    Op::Fork(u) => format!("fork({})", names.thread_name(u)),
+                    Op::Join(u) => format!("join({})", names.thread_name(u)),
+                    Op::Begin => "begin".to_owned(),
+                    Op::End => "end".to_owned(),
+                };
+                format!("{}|{op}|{i}\n", names.thread_name(e.thread))
+            })
+            .collect();
+        assert_eq!(String::from_utf8(out).unwrap(), expected);
+        let mut digits = Vec::new();
+        for n in [0, 9, 10, 99, 100, u64::MAX] {
+            digits.clear();
+            push_decimal(&mut digits, n);
+            assert_eq!(digits, n.to_string().as_bytes());
+        }
+    }
+
+    #[test]
+    fn copy_events_writes_the_prefix_before_a_source_error() {
+        let mut reader = StdReader::new("t1|begin|7\nt1|bogus|8\n".as_bytes());
+        let mut out = Vec::new();
+        assert!(matches!(copy_events(&mut reader, &mut out), Err(SourceError::Parse(_))));
+        assert_eq!(out, b"t1|begin|0\n");
+    }
+
+    #[test]
+    fn find_newline_matches_a_byte_scan() {
+        let text = b"abcdefgh\nijklmnopqrstuvw\n\n\xff\x0a\x8a\x0b0123456789abcdef";
+        for start in 0..text.len() {
+            for end in start..=text.len() {
+                let slice = &text[start..end];
+                assert_eq!(find_newline(slice), slice.iter().position(|&b| b == b'\n'));
+            }
+        }
     }
 }

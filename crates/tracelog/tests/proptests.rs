@@ -3,6 +3,8 @@
 //! and streaming ≡ batch differentials for the parser, validator and
 //! statistics.
 
+use std::io::BufReader;
+
 use proptest::prelude::*;
 use tracelog::stream::{EventSource, StdReader};
 use tracelog::{
@@ -211,6 +213,7 @@ proptest! {
         steps in prop::collection::vec(((0u8..4), step_strategy()), 0..80),
         threads in 1usize..4,
         close in any::<bool>(),
+        refill in 1usize..8,
     ) {
         // Round-trip an arbitrary well-formed trace through the text
         // format, then parse it both ways: `parse_trace` is a collect
@@ -229,6 +232,19 @@ proptest! {
         prop_assert_eq!(reader.names().threads, batch.thread_names());
         prop_assert_eq!(reader.names().locks, batch.lock_names());
         prop_assert_eq!(reader.names().vars, batch.var_names());
+
+        // The same text through a buffer of 1–7 bytes per refill: every
+        // line straddles refills and is gathered in the carry.
+        let mut trickle = StdReader::new(BufReader::with_capacity(refill, text.as_bytes()));
+        let mut trickled = Vec::new();
+        while let Some(e) = trickle.next_event().expect("own output parses") {
+            trickled.push(e);
+            prop_assert_eq!(trickle.line(), trickled.len());
+        }
+        prop_assert_eq!(trickled.as_slice(), batch.events());
+        prop_assert_eq!(trickle.names().threads, batch.thread_names());
+        prop_assert_eq!(trickle.names().locks, batch.lock_names());
+        prop_assert_eq!(trickle.names().vars, batch.var_names());
     }
 
     #[test]

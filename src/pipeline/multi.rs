@@ -16,7 +16,7 @@
 //! this runtime — [`aerodrome::Checker::reset`] (clock pools keep their
 //! recycled buffers, capped by
 //! [`aerodrome::state::DEFAULT_RETAINED_CLOCK_BYTES`]),
-//! [`StdReader::reset`] (warm interner and line buffers) and
+//! [`StdReader::reset`] (warm interner and carry buffers) and
 //! [`Validator::reset`]. Once a worker is warm, checking the next trace
 //! performs zero clock heap allocations — the within-trace invariant of
 //! `tests/pool_alloc.rs`, lifted across traces (asserted in

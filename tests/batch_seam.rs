@@ -7,7 +7,9 @@
 
 use aerodrome_suite::prelude::*;
 use proptest::prelude::*;
+use tracelog::parser::ParseErrorKind;
 use tracelog::stream::{EventBatch, Validated};
+use tracelog::Interner;
 use workloads::shapes;
 
 /// Drains a source per-event.
@@ -138,6 +140,106 @@ fn validation_errors_are_identical_across_modes() {
     };
     assert_eq!(a, b);
     assert_eq!(inner.line_of(b.event()), Some(4), "event attributed to its own line");
+}
+
+/// What a `.std` reader makes of a text: events with their lines, the
+/// parse error it stopped on, its last line and its name tables.
+#[derive(Debug, PartialEq)]
+struct TextRun {
+    events: Vec<(Event, usize)>,
+    error: Option<(usize, ParseErrorKind)>,
+    line: usize,
+    names: (Interner, Interner, Interner),
+}
+
+/// Drains a reader per event (`target` `None`) or in batches, recording
+/// each event's line through `line_of`.
+fn text_run<R: std::io::BufRead>(mut reader: StdReader<R>, target: Option<usize>) -> TextRun {
+    let mut events = Vec::new();
+    let mut batch = EventBatch::with_target(target.unwrap_or(1));
+    let error = loop {
+        let first = events.len() as u64;
+        let pulled = match target {
+            Some(_) => reader.next_batch(&mut batch).map(|n| n > 0),
+            None => {
+                batch.clear();
+                reader.next_event().map(|e| {
+                    batch.extend_from_slice(e.as_slice());
+                    e.is_some()
+                })
+            }
+        };
+        for (i, &e) in batch.events().iter().enumerate() {
+            events.push((e, reader.line_of(EventId(first + i as u64)).expect("in the window")));
+        }
+        match pulled {
+            Ok(true) => {}
+            Ok(false) => break None,
+            Err(SourceError::Parse(e)) => break Some((e.line, e.kind)),
+            Err(other) => panic!("unexpected {other:?}"),
+        }
+    };
+    TextRun { events, error, line: reader.line(), names: reader.into_names() }
+}
+
+/// A generated trace dressed in everything the grammar must see past:
+/// CRLF endings, Unicode whitespace around lines and fields, comments,
+/// blank lines, `|` inside `<loc>` and a last line with no newline.
+fn dressed_text(events: usize, seed: u64) -> String {
+    let trace = generate(&GenConfig { events, seed, ..GenConfig::default() });
+    let plain = write_trace(&trace);
+    let space = [" ", "\t", "\r", "\u{0B}", "\u{0C}", "\u{A0}", "\u{2003}"];
+    let mut text = String::new();
+    for (i, line) in plain.lines().enumerate() {
+        let pad = space[i % space.len()];
+        match i % 9 {
+            0 => text.push_str(&format!("{pad}# comment {i}\n\n")),
+            1 => text.push_str(&format!("{pad}{line}{pad}\r\n")),
+            2 => text.push_str(&format!(
+                "{}|{pad}{}\n",
+                line.replacen('|', &format!("{pad}|"), 1),
+                "a|b"
+            )),
+            _ => text.push_str(&format!("{line}{pad}\n")),
+        }
+    }
+    text.pop();
+    text
+}
+
+/// Refill sizes of 1–7 bytes, where every line straddles refills, read
+/// the same events, lines, names and errors as one whole buffer, in
+/// both iteration modes — on clean text and with each rejected line
+/// (the four grammar errors and invalid UTF-8) spliced in.
+#[test]
+fn refill_size_never_changes_what_is_read() {
+    let text = dressed_text(400, 5);
+    let splice_at = text.split_inclusive('\n').take(200).map(str::len).sum::<usize>();
+    let mut inputs = vec![text.clone().into_bytes()];
+    for bad in
+        [&b"justonefield"[..], b"|begin|0", b"t1|frobnicate(x)|0", b"t1|r()|0", b"t1|w(\xff)|0"]
+    {
+        let mut bytes = text.clone().into_bytes();
+        bytes.splice(splice_at..splice_at, bad.iter().chain(b"\n").copied());
+        inputs.push(bytes);
+    }
+    for bytes in &inputs {
+        let whole = text_run(StdReader::new(bytes.as_slice()), None);
+        assert!(whole.events.len() >= 150, "the text before the splice parses");
+        let spliced = bytes.len() != text.len();
+        assert_eq!(
+            whole.error.as_ref().map(|e| e.0),
+            spliced.then_some(201),
+            "the error names its line"
+        );
+        for refill in 1..8 {
+            for target in [None, Some(1), Some(3), Some(64)] {
+                let reader =
+                    StdReader::new(std::io::BufReader::with_capacity(refill, bytes.as_slice()));
+                assert_eq!(text_run(reader, target), whole, "refill {refill}, target {target:?}");
+            }
+        }
+    }
 }
 
 proptest! {
