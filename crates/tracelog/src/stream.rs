@@ -902,30 +902,19 @@ pub fn collect_trace<S: EventSource + ?Sized>(source: &mut S) -> Result<Trace, S
 /// number of events written. [`crate::write_trace`] is a thin wrapper, so
 /// there is exactly one serialiser.
 ///
-/// Lines are assembled from byte slices and hand-formatted offsets in a
-/// local buffer, which goes to `out` in large writes.
+/// Each line is written as byte slices and a hand-formatted offset, with
+/// no `fmt` machinery; pass a buffered writer for file output.
 ///
 /// # Errors
 ///
-/// Propagates source errors and write failures. The lines of the events
-/// before a source error are written first.
+/// Propagates source errors and write failures.
 pub fn copy_events<S, W>(source: &mut S, out: &mut W) -> Result<u64, SourceError>
 where
     S: EventSource + ?Sized,
     W: Write,
 {
-    const FLUSH_AT: usize = 1 << 16;
-    let mut text = Vec::with_capacity(FLUSH_AT + 256);
     let mut i = 0u64;
-    loop {
-        let e = match source.next_event() {
-            Ok(Some(e)) => e,
-            Ok(None) => break,
-            Err(e) => {
-                out.write_all(&text)?;
-                return Err(e);
-            }
-        };
+    while let Some(e) = source.next_event()? {
         let names = source.names();
         let (op, operand): (&[u8], Option<&str>) = match e.op {
             Op::Read(x) => (b"|r(", Some(names.var_name(x))),
@@ -937,29 +926,24 @@ where
             Op::Begin => (b"|begin|", None),
             Op::End => (b"|end|", None),
         };
-        text.extend_from_slice(names.thread_name(e.thread).as_bytes());
-        text.extend_from_slice(op);
+        out.write_all(names.thread_name(e.thread).as_bytes())?;
+        out.write_all(op)?;
         if let Some(name) = operand {
-            text.extend_from_slice(name.as_bytes());
-            text.extend_from_slice(b")|");
+            out.write_all(name.as_bytes())?;
+            out.write_all(b")|")?;
         }
-        push_decimal(&mut text, i);
-        text.push(b'\n');
-        if text.len() >= FLUSH_AT {
-            out.write_all(&text)?;
-            text.clear();
-        }
+        write_decimal_line(out, i)?;
         i += 1;
     }
-    out.write_all(&text)?;
     out.flush()?;
     Ok(i)
 }
 
-/// Appends `n` in decimal.
-fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
+/// Writes `n` in decimal, then a newline.
+fn write_decimal_line<W: Write>(out: &mut W, mut n: u64) -> io::Result<()> {
+    let mut digits = [0u8; 21];
+    let mut start = digits.len() - 1;
+    digits[start] = b'\n';
     loop {
         start -= 1;
         digits[start] = b'0' + (n % 10) as u8;
@@ -968,7 +952,7 @@ fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
             break;
         }
     }
-    out.extend_from_slice(&digits[start..]);
+    out.write_all(&digits[start..])
 }
 
 #[cfg(test)]
@@ -1291,17 +1275,9 @@ mod tests {
         let mut digits = Vec::new();
         for n in [0, 9, 10, 99, 100, u64::MAX] {
             digits.clear();
-            push_decimal(&mut digits, n);
-            assert_eq!(digits, n.to_string().as_bytes());
+            write_decimal_line(&mut digits, n).unwrap();
+            assert_eq!(digits, format!("{n}\n").as_bytes());
         }
-    }
-
-    #[test]
-    fn copy_events_writes_the_prefix_before_a_source_error() {
-        let mut reader = StdReader::new("t1|begin|7\nt1|bogus|8\n".as_bytes());
-        let mut out = Vec::new();
-        assert!(matches!(copy_events(&mut reader, &mut out), Err(SourceError::Parse(_))));
-        assert_eq!(out, b"t1|begin|0\n");
     }
 
     #[test]
