@@ -561,11 +561,7 @@ impl<R: Rules> Engine<R> {
 /// One event through the shared dispatch: table growth, the common
 /// acquire/fork/join/begin handling and the nested-end filter, deferring
 /// read/write/outermost-end behaviour to the [`Rules`] plug-in.
-///
-/// Factored out of [`Engine`] so the shard-local fast path of
-/// [`crate::shard`] runs the *same* code as the sequential engine and
-/// the two can never diverge.
-pub(crate) fn dispatch<R: Rules>(
+fn dispatch<R: Rules>(
     core: &mut Core<R::Store>,
     rules: &mut R,
     event: Event,

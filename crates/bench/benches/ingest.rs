@@ -1,18 +1,17 @@
-//! Ingest bench: text parsing vs binary mmap vs chunk-parallel reading.
+//! Ingest bench: text parsing vs binary mmap reading.
 //!
-//! Three questions, one trace. First, what does the `.rbt` container buy
+//! Two questions, one trace. First, what does the `.rbt` container buy
 //! over `.std` text on a pure drain (no checkers) — this isolates the
 //! parse cost the binary format was designed to delete: fixed-width
 //! 9-byte records decoded straight out of the mapping instead of
 //! `split('|')` + integer parsing per line. Second, what does that buy
 //! end-to-end under `rapid compare`'s single-ingest runtime
-//! ([`par::check_all`]). Third, what does chunk-parallel ingest
-//! ([`par::check_all_chunked`]) add on top once the readers outnumber
-//! one. The `CRITERION_SHIM_JSON` dump of this bench is the source of
-//! `BENCH_ingest.json`, the checked-in last-known-good that the
-//! scheduled CI job diffs fresh runs against with `rapid benchdiff`.
+//! ([`par::check_all`]). The `CRITERION_SHIM_JSON` dump of this bench
+//! is the source of `BENCH_ingest.json`, the checked-in last-known-good
+//! that the scheduled CI job diffs fresh runs against with `rapid
+//! benchdiff`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
@@ -83,7 +82,7 @@ fn bench_ingest(c: &mut Criterion) {
     });
 
     // End-to-end `rapid compare` shape: full checker panel, single
-    // ingest thread over either encoding, then chunk-parallel readers.
+    // ingest thread over either encoding.
     let config = ParConfig { jobs: 2, ..ParConfig::default() };
     g.bench_function("compare/std", |b| {
         b.iter(|| {
@@ -99,24 +98,6 @@ fn bench_ingest(c: &mut Criterion) {
             assert_eq!(report.events, events);
         });
     });
-    for ingest_jobs in [2usize, 4] {
-        g.bench_with_input(
-            BenchmarkId::new("compare/rbt-chunked", ingest_jobs),
-            &ingest_jobs,
-            |b, &ingest_jobs| {
-                b.iter(|| {
-                    let report = par::check_all_chunked(
-                        &trace,
-                        par::standard_checkers(),
-                        &config,
-                        ingest_jobs,
-                    )
-                    .unwrap();
-                    assert_eq!(report.events, events);
-                });
-            },
-        );
-    }
     g.finish();
 }
 

@@ -21,21 +21,14 @@ use std::fmt::Write as _;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aerodrome::basic::BasicChecker;
 use aerodrome::optimized::OptimizedChecker;
 use aerodrome::readopt::ReadOptChecker;
-use aerodrome::shard::Ownership;
 use aerodrome::{Checker, Outcome};
-use aerodrome_suite::pipeline::affinity::{self, AffinityProfile, PartitionPlan};
-use aerodrome_suite::pipeline::chunkpar::ChunkParSource;
 use aerodrome_suite::pipeline::multi::{self, MultiConfig};
 use aerodrome_suite::pipeline::par::{self, CheckerRun, ParConfig, SendChecker};
-use aerodrome_suite::pipeline::shard::{
-    check_sharded, check_sharded_chunked, ShardAlgo, ShardConfig, ShardReport,
-};
 use aerodrome_suite::pipeline::Pipeline;
 use tracelog::binfmt::{self, AnySource, DEFAULT_CHUNK_EVENTS};
 use tracelog::stream::{copy_events, EventBatch, EventSource, SourceNames, DEFAULT_BATCH_EVENTS};
@@ -45,20 +38,16 @@ use velodrome::{Config, Strategy, VelodromeChecker};
 /// A parsed command line.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
-    /// `rapid metainfo <trace.std> [--ingest-jobs N] [--batch N]` —
+    /// `rapid metainfo <trace.std> [--batch N]` —
     /// trace statistics (Tables 1–2 columns 2–6).
     MetaInfo {
         /// Path of the trace log.
         path: String,
         /// Events per ingest batch; `None` uses the default (~4096).
         batch: Option<usize>,
-        /// Reader threads decoding chunks of a binary trace (default 1:
-        /// the caller thread ingests alone).
-        ingest_jobs: usize,
     },
     /// `rapid aerodrome <trace.std> [--algorithm basic|readopt|optimized]
-    /// [--shards N] [--partition auto|round-robin|plan.json]
-    /// [--ingest-jobs N] [--batch N] [--no-validate]`
+    /// [--batch N] [--no-validate]`
     /// (alias: `rapid check`).
     Aerodrome {
         /// Path of the trace log.
@@ -69,18 +58,6 @@ pub enum Command {
         validate: bool,
         /// Events per ingest batch; `None` uses the default (~4096).
         batch: Option<usize>,
-        /// Cooperating shards of the one checker (default 1: the plain
-        /// sequential engine). `N ≥ 2` splits the trace's threads,
-        /// locks and variables across N shard threads — Algorithms 1
-        /// and 2 only.
-        shards: usize,
-        /// Reader threads decoding chunks of a binary trace (default 1:
-        /// the caller thread ingests alone).
-        ingest_jobs: usize,
-        /// How the shard tables are derived (`--partition`, shards ≥ 2
-        /// only): blind round-robin (default), an affinity-profiled
-        /// `auto` plan, or a saved `rapid partition` plan file.
-        partition: PartitionChoice,
     },
     /// `rapid velodrome <trace.std> [--no-gc] [--pearce-kelly]
     /// [--batch N] [--no-validate]`.
@@ -94,33 +71,19 @@ pub enum Command {
         /// Events per ingest batch; `None` uses the default (~4096).
         batch: Option<usize>,
     },
-    /// `rapid compare <trace> [--jobs N] [--ingest-jobs N] [--batch N]
-    /// [--no-validate]` — one parse pass fanned out to every checker
-    /// variant in parallel. With `--ingest-jobs N` (N ≥ 2, binary `.rbt`
-    /// input only) the single file is *read* chunk-parallel too.
+    /// `rapid compare <trace> [--jobs N] [--batch N] [--no-validate]` —
+    /// one parse pass fanned out to every checker variant in parallel.
     Compare {
         /// Path of the trace log (`.std` or `.rbt`, sniffed by magic).
         path: String,
         /// Worker threads (`0` = one per available CPU).
         jobs: usize,
-        /// Reader threads decoding chunks of a binary trace (default 1:
-        /// the caller thread ingests alone).
-        ingest_jobs: usize,
         /// Events per batch; `None` uses the default (~4096).
         batch: Option<usize>,
         /// Run the streaming well-formedness pre-pass (default true).
         validate: bool,
-        /// With `N ≥ 2`: the sharded differential mode — Algorithms 1
-        /// and 2 each run single-shard AND split across N shards, and
-        /// the results are diffed bit for bit (exit non-zero on any
-        /// divergence).
-        shards: usize,
-        /// How the N-shard tables are derived (`--partition`, as on
-        /// `aerodrome`/`check`), so the self-differential covers
-        /// auto-partitioned runs too.
-        partition: PartitionChoice,
     },
-    /// `rapid validate <trace.std> [--ingest-jobs N] [--batch N]` — the
+    /// `rapid validate <trace.std> [--batch N]` — the
     /// streaming well-formedness check alone (exit 1 on the first
     /// ill-formed event).
     Validate {
@@ -128,35 +91,6 @@ pub enum Command {
         path: String,
         /// Events per ingest batch; `None` uses the default (~4096).
         batch: Option<usize>,
-        /// Reader threads decoding chunks of a binary trace (default 1:
-        /// the caller thread ingests alone).
-        ingest_jobs: usize,
-    },
-    /// `rapid partition <trace> [--shards N] [--balance F]
-    /// [--out plan.json] [--measure] [--ingest-jobs N] [--batch N]` —
-    /// profile the trace's thread↔lock↔variable access affinity and
-    /// derive the locality-minimizing shard plan, printing predicted
-    /// (and, with `--measure`, measured) cross-edge rates.
-    Partition {
-        /// Path of the trace log.
-        path: String,
-        /// Shards the plan spreads over (default 2).
-        shards: usize,
-        /// Soft load-balance weight of the partitioner cost (default
-        /// [`affinity::DEFAULT_BALANCE`]).
-        balance: f64,
-        /// Save the plan as versioned JSON here (feed it back via
-        /// `--partition <path>`).
-        out: Option<String>,
-        /// Additionally run the sharded checker (Algorithm 2) under the
-        /// plan and report the measured cross-edge rate next to the
-        /// prediction.
-        measure: bool,
-        /// Events per ingest batch; `None` uses the default (~4096).
-        batch: Option<usize>,
-        /// Reader threads decoding chunks of a binary trace (default 1:
-        /// the caller thread ingests alone).
-        ingest_jobs: usize,
     },
     /// `rapid batch <dir|manifest|trace.std> [--jobs N] [--batch N]
     /// [--checker NAME] [--seal-verify] [--no-validate]` — the resident
@@ -362,34 +296,6 @@ pub enum Algorithm {
     Optimized,
 }
 
-/// Shard-partition selector (the uniform `--partition` flag of
-/// `aerodrome`/`check` and `compare`).
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub enum PartitionChoice {
-    /// Blind `index % shards` ownership tables (the default, and the
-    /// only behaviour before the affinity partitioner existed).
-    #[default]
-    RoundRobin,
-    /// Profile the trace's access affinity in a streaming pre-pass and
-    /// derive the locality-minimizing plan (`rapid partition` inline).
-    Auto,
-    /// Load a plan file saved by `rapid partition --out`.
-    Plan(String),
-}
-
-impl PartitionChoice {
-    /// Parses a `--partition` value: `round-robin`, `auto`, or a plan
-    /// file path (anything else).
-    #[must_use]
-    pub fn parse(value: &str) -> Self {
-        match value {
-            "round-robin" => Self::RoundRobin,
-            "auto" => Self::Auto,
-            path => Self::Plan(path.to_owned()),
-        }
-    }
-}
-
 /// Which checkers a `rapid batch` worker session runs per trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CheckerChoice {
@@ -490,23 +396,17 @@ pub const USAGE: &str = "\
 rapid — atomicity checking on trace logs (AeroDrome reproduction)
 
 USAGE:
-    rapid metainfo  <trace.std> [--batch N] [--ingest-jobs N]
+    rapid metainfo  <trace.std> [--batch N]
     rapid aerodrome <trace.std> [--algorithm basic|readopt|optimized]
-                    [--shards N] [--partition auto|round-robin|plan.json]
-                    [--ingest-jobs N]
                     [--batch N] [--no-validate]   (alias: rapid check)
     rapid velodrome <trace.std> [--no-gc] [--pearce-kelly]
                     [--batch N] [--no-validate]
-    rapid compare   <trace.std> [--jobs N] [--ingest-jobs N] [--shards N]
-                    [--partition auto|round-robin|plan.json]
-                    [--batch N] [--no-validate]
+    rapid compare   <trace.std> [--jobs N] [--batch N] [--no-validate]
     rapid batch     <dir|manifest|trace.std> [--jobs N] [--batch N]
                     [--checker all|basic|readopt|optimized|velodrome]
                     [--seal-verify] [--no-validate]
-    rapid validate  <trace.std> [--batch N] [--ingest-jobs N]
+    rapid validate  <trace.std> [--batch N]
     rapid convert   <in> <out> [--chunk-events N]
-    rapid partition <trace> [--shards N] [--balance F] [--out plan.json]
-                    [--measure] [--ingest-jobs N] [--batch N]
     rapid benchdiff <baseline.json> <fresh.json> [--threshold PCT]
     rapid generate  <out.std> [--profile NAME|convoy|fanout|nesting]
                     [--events N]
@@ -540,27 +440,7 @@ accepts either encoding, sniffed by file magic (the extension is only a
 convention); `rapid convert` transcodes between them both ways, and the
 `.std` -> `.rbt` -> `.std` round-trip is byte-exact. `.expect` seal
 sidecars record identical text for both encodings of a trace.
-`--ingest-jobs N` (N ≥ 2, binary input only; on `metainfo`, `validate`,
-`compare`, `aerodrome`/`check` and `partition`) additionally decodes the
-single file with N chunk-parallel readers feeding the analysis.
 
-`check --shards N` (N ≥ 2) splits ONE trace across N cooperating shards
-of the same checker: threads, locks and variables are partitioned
-(round-robin by default), shard-local events (the vast majority) are
-checked with no synchronisation, and the rare cross-shard
-happens-before edges travel as clock messages, coalesced per channel
-flush and memoized per peer — verdicts, first-violation attribution and
-the events/joins counters are bit-identical to the sequential engine at
-every shard count and under every partition. Algorithms 1 and 2 only
-(Algorithm 3's lazy epochs resist partitioning; see docs/PERF.md).
-`--partition auto` first profiles the trace's thread↔lock↔variable
-access affinity and derives the locality-minimizing tables instead;
-`--partition plan.json` replays a plan saved by `rapid partition`,
-which prints predicted (and with `--measure`, measured) cross-edge
-rates for round-robin vs auto. `compare --shards N` is the matching
-differential mode: both shardable algorithms run single-shard AND
-N-shard (honouring `--partition`) and the results are diffed bit for
-bit (non-zero exit on divergence).
 `benchdiff` guards the perf trajectory: it diffs two rapid-bench-v1
 JSON reports metric by metric (higher-better *_per_sec, lower-better
 wall_s/*_ms) and exits non-zero past `--threshold` percent regression.
@@ -704,17 +584,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                 .ok_or_else(|| UsageError("metainfo requires a trace path".into()))?
                 .clone();
             let mut batch = None;
-            let mut ingest_jobs = 1usize;
             let mut i = 2;
             while i < args.len() {
                 match args[i].as_str() {
                     "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--ingest-jobs" => ingest_jobs = positive_flag(args, &mut i, "--ingest-jobs")?,
                     other => return Err(UsageError(format!("unknown flag `{other}`"))),
                 }
                 i += 1;
             }
-            Ok(Command::MetaInfo { path, batch, ingest_jobs })
+            Ok(Command::MetaInfo { path, batch })
         }
         "aerodrome" | "check" => {
             let path = args
@@ -724,9 +602,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
             let mut algorithm = Algorithm::default();
             let mut validate = true;
             let mut batch = None;
-            let mut shards = 1usize;
-            let mut ingest_jobs = 1usize;
-            let mut partition = PartitionChoice::default();
             let mut i = 2;
             while i < args.len() {
                 match args[i].as_str() {
@@ -740,30 +615,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                             }
                         };
                     }
-                    "--shards" => shards = positive_flag(args, &mut i, "--shards")?,
-                    "--partition" => {
-                        partition =
-                            PartitionChoice::parse(flag_value(args, &mut i, "--partition")?);
-                    }
-                    "--ingest-jobs" => ingest_jobs = positive_flag(args, &mut i, "--ingest-jobs")?,
                     "--batch" => batch = Some(batch_flag(args, &mut i)?),
                     "--no-validate" => validate = false,
                     other => return Err(UsageError(format!("unknown flag `{other}`"))),
                 }
                 i += 1;
             }
-            if partition != PartitionChoice::RoundRobin && shards <= 1 {
-                return Err(UsageError("--partition needs --shards N (N ≥ 2)".into()));
-            }
-            Ok(Command::Aerodrome {
-                path,
-                algorithm,
-                validate,
-                batch,
-                shards,
-                ingest_jobs,
-                partition,
-            })
+            Ok(Command::Aerodrome { path, algorithm, validate, batch })
         }
         "velodrome" => {
             let path = args
@@ -792,31 +650,19 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                 .ok_or_else(|| UsageError("compare requires a trace path".into()))?
                 .clone();
             let mut jobs = 0usize;
-            let mut ingest_jobs = 1usize;
             let mut batch = None;
             let mut validate = true;
-            let mut shards = 1usize;
-            let mut partition = PartitionChoice::default();
             let mut i = 2;
             while i < args.len() {
                 match args[i].as_str() {
                     "--jobs" => jobs = jobs_flag(args, &mut i)?,
-                    "--ingest-jobs" => ingest_jobs = positive_flag(args, &mut i, "--ingest-jobs")?,
-                    "--shards" => shards = positive_flag(args, &mut i, "--shards")?,
-                    "--partition" => {
-                        partition =
-                            PartitionChoice::parse(flag_value(args, &mut i, "--partition")?);
-                    }
                     "--batch" => batch = Some(batch_flag(args, &mut i)?),
                     "--no-validate" => validate = false,
                     other => return Err(UsageError(format!("unknown flag `{other}`"))),
                 }
                 i += 1;
             }
-            if partition != PartitionChoice::RoundRobin && shards <= 1 {
-                return Err(UsageError("--partition needs --shards N (N ≥ 2)".into()));
-            }
-            Ok(Command::Compare { path, jobs, ingest_jobs, batch, validate, shards, partition })
+            Ok(Command::Compare { path, jobs, batch, validate })
         }
         "convert" => {
             let input = args
@@ -878,51 +724,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                 .ok_or_else(|| UsageError("validate requires a trace path".into()))?
                 .clone();
             let mut batch = None;
-            let mut ingest_jobs = 1usize;
             let mut i = 2;
             while i < args.len() {
                 match args[i].as_str() {
                     "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--ingest-jobs" => ingest_jobs = positive_flag(args, &mut i, "--ingest-jobs")?,
                     other => return Err(UsageError(format!("unknown flag `{other}`"))),
                 }
                 i += 1;
             }
-            Ok(Command::Validate { path, batch, ingest_jobs })
-        }
-        "partition" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| UsageError("partition requires a trace path".into()))?
-                .clone();
-            let mut shards = 2usize;
-            let mut balance = aerodrome_suite::pipeline::affinity::DEFAULT_BALANCE;
-            let mut out = None;
-            let mut measure = false;
-            let mut batch = None;
-            let mut ingest_jobs = 1usize;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--shards" => shards = positive_flag(args, &mut i, "--shards")?,
-                    "--balance" => {
-                        let b: f64 = num_flag(args, &mut i, "--balance")?;
-                        if !b.is_finite() || b < 0.0 {
-                            return Err(UsageError(
-                                "--balance must be a finite non-negative weight".into(),
-                            ));
-                        }
-                        balance = b;
-                    }
-                    "--out" => out = Some(flag_value(args, &mut i, "--out")?.to_owned()),
-                    "--measure" => measure = true,
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--ingest-jobs" => ingest_jobs = positive_flag(args, &mut i, "--ingest-jobs")?,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Partition { path, shards, balance, out, measure, batch, ingest_jobs })
+            Ok(Command::Validate { path, batch })
         }
         "batch" => {
             let path = args
@@ -1211,20 +1021,6 @@ pub fn load_trace(path: &str) -> Result<Trace, String> {
     tracelog::stream::collect_trace(&mut source).map_err(|e| format!("{path}: {e}"))
 }
 
-/// The guidance printed when chunk-parallel ingest is asked of a text
-/// log: only the binary `.rbt` container carries the chunk index the
-/// readers claim work from, so point at the exact transcode command
-/// (output path derived from the input). `--ingest-jobs 1` needs no
-/// chunk index and is accepted on either encoding.
-fn ingest_jobs_guidance(path: &str, ingest_jobs: usize) -> String {
-    let derived = Path::new(path).with_extension("rbt");
-    format!(
-        "{path}: --ingest-jobs {ingest_jobs} needs the binary .rbt encoding \
-         (transcode first: `rapid convert {path} {}`)",
-        derived.display()
-    )
-}
-
 /// Formats a pipeline error with the offending position in the source.
 /// The pipelines batch ahead of validation, so the source's *current*
 /// position may be past the ill-formed event; `position_of` recovers the
@@ -1418,328 +1214,20 @@ pub fn verify_seal(path: &str, jobs: usize) -> Result<(), String> {
     }
 }
 
-/// Maps the CLI algorithm selector onto the shardable subset, with the
-/// explanation for why Algorithm 3 is excluded.
-fn shard_algo(algorithm: Algorithm, shards: usize) -> Result<ShardAlgo, String> {
-    match algorithm {
-        Algorithm::Basic => Ok(ShardAlgo::Basic),
-        Algorithm::ReadOpt => Ok(ShardAlgo::ReadOpt),
-        Algorithm::Optimized => Err(format!(
-            "--shards {shards} supports only --algorithm basic|readopt: Algorithm 3's lazy \
-             epochs and stale-set bookkeeping couple every thread's state and resist \
-             partitioning (see docs/PERF.md)"
-        )),
-    }
-}
-
-/// Profiles `path`'s access affinity in one streaming pass
-/// (chunk-parallel for binary input when `ingest_jobs > 1`).
-fn profile_trace(
-    path: &str,
-    ingest_jobs: usize,
-    batch: Option<usize>,
-) -> Result<AffinityProfile, String> {
-    let mut source = open_source(path)?;
-    let batch_events = batch.unwrap_or(DEFAULT_BATCH_EVENTS);
-    let profile = if ingest_jobs > 1 {
-        let AnySource::Bin(bin) = &source else {
-            return Err(ingest_jobs_guidance(path, ingest_jobs));
-        };
-        let trace = Arc::clone(bin.trace());
-        affinity::profile_chunked(&trace, ingest_jobs, batch_events)
-    } else {
-        affinity::profile_source(&mut source, batch_events)
-    }
-    .map_err(|e| source_err(path, &source, &e))?;
-    Ok(profile)
-}
-
-/// Resolves `--partition` into concrete [`Ownership`] tables plus a
-/// provenance note for the report (`auto` runs the affinity pre-pass
-/// here; a plan file must have been derived for the same shard count).
-fn resolve_partition(
-    path: &str,
-    partition: &PartitionChoice,
-    shards: usize,
-    ingest_jobs: usize,
-    batch: Option<usize>,
-) -> Result<(Ownership, String), String> {
-    match partition {
-        PartitionChoice::RoundRobin => {
-            Ok((Ownership::round_robin(shards), "round-robin".to_owned()))
-        }
-        PartitionChoice::Auto => {
-            let plan = profile_trace(path, ingest_jobs, batch)?.partition(shards);
-            let note = format!(
-                "auto (predicted cross rate {:.2}%)",
-                plan.predicted().cross_rate() * 100.0
-            );
-            Ok((plan.ownership(), note))
-        }
-        PartitionChoice::Plan(file) => {
-            let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-            let plan = PartitionPlan::from_json(&text).map_err(|e| format!("{file}: {e}"))?;
-            if plan.shards != shards {
-                return Err(format!(
-                    "{file}: plan was derived for {} shard(s) but --shards {shards} was given \
-                     (re-run `rapid partition --shards {shards}`)",
-                    plan.shards
-                ));
-            }
-            let note = format!(
-                "plan {file} (predicted cross rate {:.2}%)",
-                plan.predicted().cross_rate() * 100.0
-            );
-            Ok((plan.ownership(), note))
-        }
-    }
-}
-
-/// One sharded check of `path` under the resolved `own` tables,
-/// optionally with chunk-parallel binary ingest.
-fn check_one_sharded(
-    path: &str,
-    algo: ShardAlgo,
-    own: Ownership,
-    ingest_jobs: usize,
-    config: &ShardConfig,
-) -> Result<(ShardReport, String), String> {
-    let mut source = open_source(path)?;
-    let report = if ingest_jobs > 1 {
-        let AnySource::Bin(bin) = &source else {
-            return Err(ingest_jobs_guidance(path, ingest_jobs));
-        };
-        let trace = Arc::clone(bin.trace());
-        check_sharded_chunked(&trace, algo, own, config, ingest_jobs)
-    } else {
-        check_sharded(&mut source, algo, own, config)
-    }
-    .map_err(|e| source_err(path, &source, &e))?;
-    let verdict = match report.run.outcome.violation() {
-        None => "✓".to_owned(),
-        Some(v) => format!("✗ {}", v.display_with_names(&source.names())),
-    };
-    Ok((report, verdict))
-}
-
-/// `rapid check --shards N` (N ≥ 2): the trace split across N
-/// cooperating shards of one checker.
-fn run_aerodrome_sharded(
-    path: &str,
-    algorithm: Algorithm,
-    validate: bool,
-    batch: Option<usize>,
-    shards: usize,
-    ingest_jobs: usize,
-    partition: &PartitionChoice,
-) -> Result<String, String> {
-    let algo = shard_algo(algorithm, shards)?;
-    let mut config = ShardConfig::default().validate(validate);
-    if let Some(b) = batch {
-        config = config.batch_events(b);
-    }
-    let (own, provenance) = resolve_partition(path, partition, shards, ingest_jobs, batch)?;
-    let start = Instant::now();
-    let (report, verdict) = check_one_sharded(path, algo, own, ingest_jobs, &config)?;
-    let wall = start.elapsed();
-    let name = match algo {
-        ShardAlgo::Basic => "aerodrome (Algorithm 1)",
-        ShardAlgo::ReadOpt => "aerodrome (Algorithm 2)",
-    };
-    let mut out = String::new();
-    let _ = writeln!(out, "analysis: {name} × {shards} shards");
-    let _ = writeln!(out, "events processed: {}", report.run.report.events);
-    let _ = match report.run.outcome.violation() {
-        None => writeln!(out, "verdict: ✓ no conflict-serializability violation detected"),
-        Some(_) => writeln!(out, "verdict: {verdict}"),
-    };
-    if let Some(s) = &report.summary {
-        if !s.is_closed() && !report.run.outcome.is_violation() {
-            let _ = writeln!(
-                out,
-                "note: trace is a prefix ({} open transaction(s), {} held lock(s))",
-                s.open_transactions.len(),
-                s.held_locks.len()
-            );
-        }
-    }
-    let cr = &report.run.report;
-    let _ = writeln!(
-        out,
-        "clocks: joins={} heap_allocs={} (buffers={} grows={}) cow_copies={} shares={}",
-        cr.clock_joins,
-        cr.clocks.heap_allocs(),
-        cr.clocks.buffers_allocated,
-        cr.clocks.buffer_grows,
-        cr.clocks.cow_copies,
-        cr.clocks.shares
-    );
-    let s = &report.stats;
-    let _ = writeln!(
-        out,
-        "sharding: shards={} local={} cross={} global-ends={} step-batches={}  wall: {:.3}s",
-        s.shards,
-        s.local_events,
-        s.cross_events,
-        s.global_ends,
-        s.step_batches,
-        wall.as_secs_f64()
-    );
-    let _ = writeln!(
-        out,
-        "partition: {provenance}  measured cross-edge rate: {:.2}%",
-        s.cross_edge_rate() * 100.0
-    );
-    let batching =
-        if s.msg_flushes == 0 { 0.0 } else { s.cross_msgs as f64 / s.msg_flushes as f64 };
-    let _ = writeln!(
-        out,
-        "dialogues: msgs={} flushes={} (×{batching:.1} batched) memo-suppressed={}",
-        s.cross_msgs, s.msg_flushes, s.memo_hits
-    );
-    if s.ingest_readers > 0 {
-        let _ = writeln!(out, "chunk-parallel ingest: {} readers", s.ingest_readers);
-    }
-    Ok(out)
-}
-
-/// `rapid compare --shards N` (N ≥ 2): the sharded differential mode.
-/// Each shardable algorithm runs single-shard AND split across N
-/// shards; verdict, first-violation attribution, event count and join
-/// counter must match bit for bit, else the run fails.
-fn run_compare_sharded(
-    path: &str,
-    ingest_jobs: usize,
-    batch: Option<usize>,
-    validate: bool,
-    shards: usize,
-    partition: &PartitionChoice,
-) -> Result<String, String> {
-    let mut config = ShardConfig::default().validate(validate);
-    if let Some(b) = batch {
-        config = config.batch_events(b);
-    }
-    let (own, provenance) = resolve_partition(path, partition, shards, ingest_jobs, batch)?;
-    let mut out = String::new();
-    let _ = writeln!(out, "sharded differential: {path} (1 vs {shards} shards, {provenance})");
-    let _ = writeln!(
-        out,
-        "{:<18} {:>7} {:>10} {:>12} {:>12} {:>9} {:>9}  bit-identical",
-        "checker", "verdict", "events", "clock joins", "cross evts", "wall 1", "wall N"
-    );
-    let mut mismatches = 0usize;
-    for algo in [ShardAlgo::Basic, ShardAlgo::ReadOpt] {
-        let start = Instant::now();
-        let (single, verdict_1) =
-            check_one_sharded(path, algo, Ownership::round_robin(1), ingest_jobs, &config)?;
-        let wall_1 = start.elapsed();
-        let start = Instant::now();
-        let (sharded, verdict_n) =
-            check_one_sharded(path, algo, own.clone(), ingest_jobs, &config)?;
-        let wall_n = start.elapsed();
-        let identical = single.run.outcome == sharded.run.outcome
-            && single.run.report.events == sharded.run.report.events
-            && single.run.report.clock_joins == sharded.run.report.clock_joins;
-        let _ = writeln!(
-            out,
-            "{:<18} {:>7} {:>10} {:>12} {:>12} {:>8.3}s {:>8.3}s  {}",
-            single.run.name,
-            if single.run.outcome.is_violation() { "✗" } else { "✓" },
-            single.run.report.events,
-            single.run.report.clock_joins,
-            sharded.stats.cross_events,
-            wall_1.as_secs_f64(),
-            wall_n.as_secs_f64(),
-            if identical { "✓" } else { "✗ DIVERGED" }
-        );
-        if !identical {
-            mismatches += 1;
-            let _ = writeln!(out, "  single-shard: {verdict_1}");
-            let _ = writeln!(
-                out,
-                "  {}-shard: {verdict_n} (events {} vs {}, joins {} vs {})",
-                shards,
-                single.run.report.events,
-                sharded.run.report.events,
-                single.run.report.clock_joins,
-                sharded.run.report.clock_joins
-            );
-        }
-    }
-    let _ = match mismatches {
-        0 => {
-            writeln!(out, "differential: ✓ sharded results bit-identical to the sequential engine")
-        }
-        n => writeln!(out, "differential: ✗ {n} algorithm(s) diverged"),
-    };
-    if mismatches > 0 {
-        Err(out)
-    } else {
-        Ok(out)
-    }
-}
-
 /// Executes a parsed command, returning the text to print.
 pub fn run(command: Command) -> Result<String, String> {
     match command {
         Command::Help => Ok(USAGE.to_owned()),
-        Command::MetaInfo { path, batch, ingest_jobs } => {
-            // Pure statistics, computed in one streaming (batched) pass
-            // — chunk-parallel over a binary trace with --ingest-jobs.
-            let source = open_source(&path)?;
-            let batch_events = batch.unwrap_or(DEFAULT_BATCH_EVENTS);
-            let mut readers_used = 0usize;
-            let mut source: Box<dyn EventSource> = if ingest_jobs > 1 {
-                let AnySource::Bin(bin) = &source else {
-                    return Err(ingest_jobs_guidance(&path, ingest_jobs));
-                };
-                let trace = Arc::clone(bin.trace());
-                let chunkpar = ChunkParSource::new(trace, ingest_jobs, batch_events);
-                readers_used = chunkpar.readers();
-                Box::new(chunkpar)
-            } else {
-                Box::new(source)
-            };
-            let info = MetaInfo::collect_batched(&mut source, batch_events)
-                .map_err(|e| source_err(&path, &source, &e))?;
-            let mut out = info.to_string();
-            if readers_used > 1 {
-                if !out.ends_with('\n') {
-                    out.push('\n');
-                }
-                let _ = writeln!(out, "chunk-parallel ingest: {readers_used} readers");
-            }
-            Ok(out)
+        Command::MetaInfo { path, batch } => {
+            // Pure statistics, computed in one streaming (batched) pass.
+            let mut source = open_source(&path)?;
+            let info =
+                MetaInfo::collect_batched(&mut source, batch.unwrap_or(DEFAULT_BATCH_EVENTS))
+                    .map_err(|e| source_err(&path, &source, &e))?;
+            Ok(info.to_string())
         }
-        Command::Aerodrome { path, algorithm, validate, batch, shards, ingest_jobs, partition } => {
-            if shards > 1 {
-                return run_aerodrome_sharded(
-                    &path,
-                    algorithm,
-                    validate,
-                    batch,
-                    shards,
-                    ingest_jobs,
-                    &partition,
-                );
-            }
-            let source = open_source(&path)?;
-            // Chunk-parallel single-file decode (binary input only),
-            // feeding the one sequential checker.
-            let mut readers_used = 0usize;
-            let source: Box<dyn EventSource> = if ingest_jobs > 1 {
-                let AnySource::Bin(bin) = &source else {
-                    return Err(ingest_jobs_guidance(&path, ingest_jobs));
-                };
-                let trace = Arc::clone(bin.trace());
-                let chunkpar =
-                    ChunkParSource::new(trace, ingest_jobs, batch.unwrap_or(DEFAULT_BATCH_EVENTS));
-                readers_used = chunkpar.readers();
-                Box::new(chunkpar)
-            } else {
-                Box::new(source)
-            };
-            let mut pipeline = Pipeline::new(source)
+        Command::Aerodrome { path, algorithm, validate, batch } => {
+            let mut pipeline = Pipeline::new(open_source(&path)?)
                 .validate(validate)
                 .batch_events(batch.unwrap_or(DEFAULT_BATCH_EVENTS));
             let (name, mut checker): (_, Box<dyn Checker>) = match algorithm {
@@ -1770,9 +1258,6 @@ pub fn run(command: Command) -> Result<String, String> {
                 cr.clocks.cow_copies,
                 cr.clocks.shares
             );
-            if readers_used > 0 {
-                let _ = writeln!(out, "chunk-parallel ingest: {readers_used} readers");
-            }
             Ok(out)
         }
         Command::Velodrome { path, config, validate, batch } => {
@@ -1800,36 +1285,15 @@ pub fn run(command: Command) -> Result<String, String> {
             }
             Ok(out)
         }
-        Command::Compare { path, jobs, ingest_jobs, batch, validate, shards, partition } => {
-            if shards > 1 {
-                return run_compare_sharded(
-                    &path,
-                    ingest_jobs,
-                    batch,
-                    validate,
-                    shards,
-                    &partition,
-                );
-            }
+        Command::Compare { path, jobs, batch, validate } => {
             let mut source = open_source(&path)?;
             let mut config = ParConfig::default().jobs(jobs).validate(validate);
             if let Some(b) = batch {
                 config = config.batch_events(b);
             }
             let start = Instant::now();
-            let report = if ingest_jobs > 1 {
-                // Chunk-parallel single-file ingest needs the chunk
-                // index of the binary container.
-                let AnySource::Bin(bin) = &source else {
-                    return Err(ingest_jobs_guidance(&path, ingest_jobs));
-                };
-                let trace = Arc::clone(bin.trace());
-                par::check_all_chunked(&trace, par::standard_checkers(), &config, ingest_jobs)
-                    .map_err(|e| source_err(&path, &source, &e))?
-            } else {
-                par::check_all(&mut source, par::standard_checkers(), &config)
-                    .map_err(|e| source_err(&path, &source, &e))?
-            };
+            let report = par::check_all(&mut source, par::standard_checkers(), &config)
+                .map_err(|e| source_err(&path, &source, &e))?;
             let wall = start.elapsed();
             let names = source.names();
             let mut out = String::new();
@@ -1842,10 +1306,6 @@ pub fn run(command: Command) -> Result<String, String> {
                 report.stats.batches,
                 wall.as_secs_f64()
             );
-            if report.stats.ingest_readers > 0 {
-                let _ =
-                    writeln!(out, "chunk-parallel ingest: {} readers", report.stats.ingest_readers);
-            }
             let _ = writeln!(
                 out,
                 "{:<18} {:>7} {:>10} {:>12} {:>12}  first violation",
@@ -2004,25 +1464,10 @@ pub fn run(command: Command) -> Result<String, String> {
                 Ok(out)
             }
         }
-        Command::Validate { path, batch, ingest_jobs } => {
-            let source = open_source(&path)?;
-            let batch_events = batch.unwrap_or(DEFAULT_BATCH_EVENTS);
-            let mut readers_used = 0usize;
-            // Chunk-parallel decode restitches events in trace order,
-            // so the online validator sees the same stream either way.
-            let mut source: Box<dyn EventSource> = if ingest_jobs > 1 {
-                let AnySource::Bin(bin) = &source else {
-                    return Err(ingest_jobs_guidance(&path, ingest_jobs));
-                };
-                let trace = Arc::clone(bin.trace());
-                let chunkpar = ChunkParSource::new(trace, ingest_jobs, batch_events);
-                readers_used = chunkpar.readers();
-                Box::new(chunkpar)
-            } else {
-                Box::new(source)
-            };
+        Command::Validate { path, batch } => {
+            let mut source = open_source(&path)?;
             let mut validator = Validator::new();
-            let mut arena = EventBatch::with_target(batch_events);
+            let mut arena = EventBatch::with_target(batch.unwrap_or(DEFAULT_BATCH_EVENTS));
             'ingest: loop {
                 let refill = source.next_batch(&mut arena);
                 for &event in arena.events() {
@@ -2057,76 +1502,7 @@ pub fn run(command: Command) -> Result<String, String> {
                     summary.held_locks.len()
                 );
             }
-            if readers_used > 1 {
-                let _ = writeln!(out, "chunk-parallel ingest: {readers_used} readers");
-            }
             Ok(out)
-        }
-        Command::Partition { path, shards, balance, out, measure, batch, ingest_jobs } => {
-            let start = Instant::now();
-            let profile = profile_trace(&path, ingest_jobs, batch)?;
-            let plan = profile.partition_with_balance(shards, balance);
-            let wall = start.elapsed();
-            let auto = plan.predicted();
-            let rr = profile.evaluate(&Ownership::round_robin(shards));
-            let mut o = String::new();
-            let _ = writeln!(o, "affinity plan: {path} over {shards} shard(s)");
-            let _ = writeln!(
-                o,
-                "events: {}  threads: {}  locks: {}  vars: {}  profile wall: {:.3}s",
-                profile.events,
-                profile.thread_weight.len(),
-                plan.locks.len(),
-                plan.vars.len(),
-                wall.as_secs_f64()
-            );
-            let _ = writeln!(
-                o,
-                "{:<12} {:>12} {:>12} {:>11}",
-                "partition", "cross evts", "global ends", "cross rate"
-            );
-            for (name, p) in [("round-robin", rr), ("auto", auto)] {
-                let _ = writeln!(
-                    o,
-                    "{name:<12} {:>12} {:>12} {:>10.2}%",
-                    p.cross_events,
-                    p.global_ends,
-                    p.cross_rate() * 100.0
-                );
-            }
-            let _ = match (rr.cross_events, auto.cross_events) {
-                (_, 0) => {
-                    writeln!(o, "predicted cross-event reduction: all {} removed", rr.cross_events)
-                }
-                (base, got) => {
-                    writeln!(o, "predicted cross-event reduction: ×{:.1}", base as f64 / got as f64)
-                }
-            };
-            if measure {
-                let (got, _) = check_one_sharded(
-                    &path,
-                    ShardAlgo::ReadOpt,
-                    plan.ownership(),
-                    ingest_jobs,
-                    &ShardConfig::default(),
-                )?;
-                let s = &got.stats;
-                let agree =
-                    s.cross_events == auto.cross_events && s.global_ends == auto.global_ends;
-                let _ = writeln!(
-                    o,
-                    "measured (Algorithm 2): cross={} global-ends={} rate={:.2}% — prediction {}",
-                    s.cross_events,
-                    s.global_ends,
-                    s.cross_edge_rate() * 100.0,
-                    if agree { "exact ✓" } else { "diverged (run stopped early?)" }
-                );
-            }
-            if let Some(file) = out {
-                std::fs::write(&file, plan.to_json()).map_err(|e| format!("{file}: {e}"))?;
-                let _ = writeln!(o, "plan written: {file} (use with --partition {file})");
-            }
-            Ok(o)
         }
         Command::Generate {
             path,
@@ -2601,7 +1977,7 @@ mod tests {
     fn parses_metainfo() {
         assert_eq!(
             parse_args(&args(&["metainfo", "t.std"])).unwrap(),
-            Command::MetaInfo { path: "t.std".into(), batch: None, ingest_jobs: 1 }
+            Command::MetaInfo { path: "t.std".into(), batch: None }
         );
         assert!(parse_args(&args(&["metainfo"])).is_err());
     }
@@ -2612,13 +1988,10 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Aerodrome {
-                partition: PartitionChoice::RoundRobin,
                 path: "t.std".into(),
                 algorithm: Algorithm::Basic,
                 validate: true,
                 batch: None,
-                shards: 1,
-                ingest_jobs: 1
             }
         );
         assert!(parse_args(&args(&["aerodrome", "t.std", "--algorithm", "bogus"])).is_err());
@@ -2626,13 +1999,10 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Aerodrome {
-                partition: PartitionChoice::RoundRobin,
                 path: "t.std".into(),
                 algorithm: Algorithm::Optimized,
                 validate: true,
                 batch: None,
-                shards: 1,
-                ingest_jobs: 1
             }
         );
         // `check` is an alias, and `--no-validate` opts out of the
@@ -2641,13 +2011,10 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Aerodrome {
-                partition: PartitionChoice::RoundRobin,
                 path: "t.std".into(),
                 algorithm: Algorithm::Optimized,
                 validate: false,
                 batch: None,
-                shards: 1,
-                ingest_jobs: 1
             }
         );
     }
@@ -2656,80 +2023,26 @@ mod tests {
     fn parses_validate_subcommand() {
         assert_eq!(
             parse_args(&args(&["validate", "t.std"])).unwrap(),
-            Command::Validate { path: "t.std".into(), batch: None, ingest_jobs: 1 }
+            Command::Validate { path: "t.std".into(), batch: None }
         );
         assert!(parse_args(&args(&["validate"])).is_err());
     }
 
+    /// The CLI has no per-trace sharding or chunk-parallel ingest (see
+    /// docs/PERF.md): their flags and the `partition` subcommand are
+    /// usage errors that name them.
     #[test]
-    fn parses_partition_flags_and_subcommand() {
-        assert_eq!(
-            parse_args(&args(&["check", "t.std", "--shards", "2", "--partition", "auto"])).unwrap(),
-            Command::Aerodrome {
-                partition: PartitionChoice::Auto,
-                path: "t.std".into(),
-                algorithm: Algorithm::Optimized,
-                validate: true,
-                batch: None,
-                shards: 2,
-                ingest_jobs: 1
-            }
-        );
-        assert_eq!(
-            parse_args(&args(&["compare", "t.rbt", "--shards", "4", "--partition", "plan.json"]))
-                .unwrap(),
-            Command::Compare {
-                partition: PartitionChoice::Plan("plan.json".into()),
-                path: "t.rbt".into(),
-                jobs: 0,
-                ingest_jobs: 1,
-                batch: None,
-                validate: true,
-                shards: 4
-            }
-        );
-        assert_eq!(
-            parse_args(&args(&[
-                "partition",
-                "t.rbt",
-                "--shards",
-                "4",
-                "--balance",
-                "0.1",
-                "--out",
-                "plan.json",
-                "--measure",
-                "--ingest-jobs",
-                "2",
-                "--batch",
-                "128",
-            ]))
-            .unwrap(),
-            Command::Partition {
-                path: "t.rbt".into(),
-                shards: 4,
-                balance: 0.1,
-                out: Some("plan.json".into()),
-                measure: true,
-                batch: Some(128),
-                ingest_jobs: 2
-            }
-        );
-        assert_eq!(
-            parse_args(&args(&["metainfo", "t.rbt", "--ingest-jobs", "3"])).unwrap(),
-            Command::MetaInfo { path: "t.rbt".into(), batch: None, ingest_jobs: 3 }
-        );
-        assert_eq!(
-            parse_args(&args(&["validate", "t.rbt", "--ingest-jobs", "3"])).unwrap(),
-            Command::Validate { path: "t.rbt".into(), batch: None, ingest_jobs: 3 }
-        );
-        // A non-round-robin partition without shards ≥ 2 is a
-        // contradiction, not a silent no-op.
-        assert!(parse_args(&args(&["check", "t.std", "--partition", "auto"])).is_err());
-        assert!(parse_args(&args(&["compare", "t.std", "--partition", "auto"])).is_err());
-        // An explicit round-robin at one shard stays the identity.
-        assert!(parse_args(&args(&["check", "t.std", "--partition", "round-robin"])).is_ok());
-        assert!(parse_args(&args(&["partition", "t.rbt", "--balance", "-1"])).is_err());
+    fn removed_sharding_and_ingest_flags_are_rejected() {
+        for (argv, named) in [
+            (&["check", "t.rbt", "--shards", "2"][..], "--shards"),
+            (&["check", "t.rbt", "--partition", "auto"][..], "--partition"),
+            (&["compare", "t.rbt", "--ingest-jobs", "2"][..], "--ingest-jobs"),
+            (&["metainfo", "t.rbt", "--ingest-jobs", "2"][..], "--ingest-jobs"),
+            (&["partition", "x.rbt"][..], "partition"),
+        ] {
+            let err = parse_args(&args(argv)).unwrap_err();
+            assert!(err.0.contains(&format!("`{named}`")), "{argv:?}: {err}");
+        }
     }
 
     #[test]
@@ -2818,62 +2131,11 @@ mod tests {
     }
 
     #[test]
-    fn parses_compare_ingest_jobs_and_generate_out_format() {
+    fn parses_compare_and_generate_out_format() {
         assert_eq!(
-            parse_args(&args(&["compare", "t.rbt", "--ingest-jobs", "4"])).unwrap(),
-            Command::Compare {
-                partition: PartitionChoice::RoundRobin,
-                path: "t.rbt".into(),
-                jobs: 0,
-                ingest_jobs: 4,
-                batch: None,
-                validate: true,
-                shards: 1
-            }
+            parse_args(&args(&["compare", "t.rbt", "--jobs", "2", "--batch", "64"])).unwrap(),
+            Command::Compare { path: "t.rbt".into(), jobs: 2, batch: Some(64), validate: true }
         );
-        let err = parse_args(&args(&["compare", "t.rbt", "--ingest-jobs", "0"])).unwrap_err();
-        assert!(err.0.contains("--ingest-jobs must be positive"), "{err}");
-
-        // The sharding flags parse on check/aerodrome and compare, and
-        // `--shards 0` is a contradiction everywhere.
-        assert_eq!(
-            parse_args(&args(&[
-                "check",
-                "t.rbt",
-                "--algorithm",
-                "basic",
-                "--shards",
-                "4",
-                "--ingest-jobs",
-                "2"
-            ]))
-            .unwrap(),
-            Command::Aerodrome {
-                partition: PartitionChoice::RoundRobin,
-                path: "t.rbt".into(),
-                algorithm: Algorithm::Basic,
-                validate: true,
-                batch: None,
-                shards: 4,
-                ingest_jobs: 2
-            }
-        );
-        assert_eq!(
-            parse_args(&args(&["compare", "t.rbt", "--shards", "2"])).unwrap(),
-            Command::Compare {
-                partition: PartitionChoice::RoundRobin,
-                path: "t.rbt".into(),
-                jobs: 0,
-                ingest_jobs: 1,
-                batch: None,
-                validate: true,
-                shards: 2
-            }
-        );
-        for cmd in ["check", "compare"] {
-            let err = parse_args(&args(&[cmd, "t.rbt", "--shards", "0"])).unwrap_err();
-            assert!(err.0.contains("--shards must be positive"), "{cmd}: {err}");
-        }
 
         let cmd = parse_args(&args(&["generate", "o.rbt", "--out-format", "rbt"])).unwrap();
         match cmd {
@@ -2919,19 +2181,15 @@ mod tests {
         .unwrap();
         assert!(out.contains("wrote"));
 
-        let info =
-            run(Command::MetaInfo { path: path.clone(), batch: None, ingest_jobs: 1 }).unwrap();
+        let info = run(Command::MetaInfo { path: path.clone(), batch: None }).unwrap();
         assert!(info.contains("events:"));
 
         for algorithm in [Algorithm::Basic, Algorithm::ReadOpt, Algorithm::Optimized] {
             let report = run(Command::Aerodrome {
-                partition: PartitionChoice::RoundRobin,
                 path: path.clone(),
                 algorithm,
                 validate: true,
                 batch: None,
-                shards: 1,
-                ingest_jobs: 1,
             })
             .unwrap();
             assert!(report.contains('✗'), "expected violation: {report}");
@@ -2947,8 +2205,7 @@ mod tests {
         assert!(report.contains('✗'));
         assert!(report.contains("graph:"));
 
-        let report =
-            run(Command::Validate { path: path.clone(), batch: None, ingest_jobs: 1 }).unwrap();
+        let report = run(Command::Validate { path: path.clone(), batch: None }).unwrap();
         assert!(report.contains("well-formed"), "{report}");
     }
 
@@ -3110,29 +2367,23 @@ mod twophase_causal_tests {
         // semantically ill-formed.
         std::fs::write(&path, "t1|begin|0\nt1|rel(m)|1\nt1|end|2\n").unwrap();
         let err = run(Command::Aerodrome {
-            partition: PartitionChoice::RoundRobin,
             path: path.clone(),
             algorithm: Algorithm::Optimized,
             validate: true,
             batch: None,
-            shards: 1,
-            ingest_jobs: 1,
         })
         .unwrap_err();
         assert!(err.contains("not well-formed"), "{err}");
         assert!(err.contains("line 2"), "{err}");
-        assert!(run(Command::Validate { path: path.clone(), batch: None, ingest_jobs: 1 }).is_err());
+        assert!(run(Command::Validate { path: path.clone(), batch: None }).is_err());
 
         // The opt-out analyses the trace anyway (verdict meaningless but
         // the paper's algorithms do not crash).
         let out = run(Command::Aerodrome {
-            partition: PartitionChoice::RoundRobin,
             path: path.clone(),
             algorithm: Algorithm::Optimized,
             validate: false,
             batch: None,
-            shards: 1,
-            ingest_jobs: 1,
         })
         .unwrap();
         assert!(out.contains("analysis:"), "{out}");
@@ -3155,17 +2406,13 @@ mod twophase_causal_tests {
             })
             .unwrap();
             assert!(out.contains("wrote"), "{out}");
-            let report =
-                run(Command::Validate { path: path.clone(), batch: None, ingest_jobs: 1 }).unwrap();
+            let report = run(Command::Validate { path: path.clone(), batch: None }).unwrap();
             assert!(report.contains("closed"), "{name}: {report}");
             let report = run(Command::Aerodrome {
-                partition: PartitionChoice::RoundRobin,
                 path,
                 algorithm: Algorithm::Optimized,
                 validate: true,
                 batch: None,
-                shards: 1,
-                ingest_jobs: 1,
             })
             .unwrap();
             assert!(report.contains('✓'), "{name} shapes are serializable: {report}");
@@ -3393,23 +2640,17 @@ mod binfmt_cli_tests {
         convert(&std_path, &rbt_path);
 
         // metainfo, validate, aerodrome, velodrome agree across encodings.
-        let info_std =
-            run(Command::MetaInfo { path: std_path.clone(), batch: None, ingest_jobs: 1 }).unwrap();
-        let info_rbt =
-            run(Command::MetaInfo { path: rbt_path.clone(), batch: None, ingest_jobs: 1 }).unwrap();
+        let info_std = run(Command::MetaInfo { path: std_path.clone(), batch: None }).unwrap();
+        let info_rbt = run(Command::MetaInfo { path: rbt_path.clone(), batch: None }).unwrap();
         assert_eq!(info_std, info_rbt, "metainfo must not depend on the encoding");
         for path in [&std_path, &rbt_path] {
-            let out =
-                run(Command::Validate { path: path.clone(), batch: None, ingest_jobs: 1 }).unwrap();
+            let out = run(Command::Validate { path: path.clone(), batch: None }).unwrap();
             assert!(out.contains("well-formed"), "{path}: {out}");
             let out = run(Command::Aerodrome {
-                partition: PartitionChoice::RoundRobin,
                 path: path.clone(),
                 algorithm: Algorithm::Optimized,
                 validate: true,
                 batch: None,
-                shards: 1,
-                ingest_jobs: 1,
             })
             .unwrap();
             assert!(out.contains('✗'), "{path}: {out}");
@@ -3417,7 +2658,7 @@ mod binfmt_cli_tests {
     }
 
     #[test]
-    fn compare_verdicts_are_identical_across_encodings_and_ingest_jobs() {
+    fn compare_verdicts_are_identical_across_encodings() {
         let dir = tmp_dir("compare");
         let std_path = generate_std(&dir, "t.std", 3_000);
         let rbt_path = format!("{dir}/t.rbt");
@@ -3425,347 +2666,71 @@ mod binfmt_cli_tests {
         let verdicts = |out: &str| -> Vec<String> {
             out.lines().filter(|l| l.contains('✗') || l.contains('✓')).map(str::to_owned).collect()
         };
-        let reference = run(Command::Compare {
-            partition: PartitionChoice::RoundRobin,
-            path: std_path,
-            jobs: 2,
-            ingest_jobs: 1,
-            batch: Some(257),
-            validate: true,
-            shards: 1,
-        })
-        .unwrap();
-        for ingest_jobs in [1usize, 2, 4] {
-            let out = run(Command::Compare {
-                partition: PartitionChoice::RoundRobin,
-                path: rbt_path.clone(),
-                jobs: 2,
-                ingest_jobs,
-                batch: Some(257),
-                validate: true,
-                shards: 1,
-            })
-            .unwrap();
-            assert_eq!(
-                verdicts(&out),
-                verdicts(&reference),
-                "ingest_jobs={ingest_jobs}:\n{out}\nvs\n{reference}"
-            );
-            if ingest_jobs > 1 {
-                assert!(out.contains("chunk-parallel ingest"), "{out}");
-            }
-        }
+        let compare = |path: String| {
+            run(Command::Compare { path, jobs: 2, batch: Some(257), validate: true }).unwrap()
+        };
+        let reference = compare(std_path);
+        let out = compare(rbt_path);
+        assert_eq!(verdicts(&out), verdicts(&reference), "{out}\nvs\n{reference}");
     }
 
     #[test]
-    fn ingest_jobs_on_text_input_is_rejected_with_guidance() {
-        let dir = tmp_dir("reject");
-        let std_path = generate_std(&dir, "t.std", 100);
-        let err = run(Command::Compare {
-            partition: PartitionChoice::RoundRobin,
-            path: std_path,
-            jobs: 1,
-            ingest_jobs: 2,
-            batch: None,
-            validate: true,
-            shards: 1,
-        })
-        .unwrap_err();
-        assert!(err.contains("rapid convert"), "must point at the converter: {err}");
-        // The guidance names the EXACT command: input path plus the
-        // derived .rbt output — copy-pasteable as is.
-        let derived = std::path::Path::new(
-            &err[err.find("rapid convert").unwrap()..].split('`').next().unwrap().to_owned(),
-        )
-        .to_path_buf();
-        assert!(
-            derived.to_string_lossy().ends_with("t.rbt"),
-            "guidance must derive the .rbt path: {err}"
-        );
-        // `--ingest-jobs 1` needs no chunk index: accepted on text input.
-        let dir2 = tmp_dir("accept-one");
-        let ok_path = generate_std(&dir2, "t.std", 100);
-        run(Command::Compare {
-            partition: PartitionChoice::RoundRobin,
-            path: ok_path.clone(),
-            jobs: 1,
-            ingest_jobs: 1,
-            batch: None,
-            validate: true,
-            shards: 1,
-        })
-        .unwrap();
-        run(Command::Aerodrome {
-            partition: PartitionChoice::RoundRobin,
-            path: ok_path,
-            algorithm: Algorithm::Optimized,
-            validate: true,
-            batch: None,
-            shards: 1,
-            ingest_jobs: 1,
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn check_ingest_jobs_decodes_chunk_parallel_with_identical_verdict() {
-        let dir = tmp_dir("check-ingest");
+    fn check_verdict_is_identical_across_encodings() {
+        let dir = tmp_dir("check-encodings");
         let std_path = generate_std(&dir, "t.std", 2_000);
         let rbt_path = format!("{dir}/t.rbt");
         convert(&std_path, &rbt_path);
-        let check = |path: &str, ingest_jobs: usize| {
+        let check = |path: &str| {
             run(Command::Aerodrome {
-                partition: PartitionChoice::RoundRobin,
                 path: path.to_owned(),
                 algorithm: Algorithm::Optimized,
                 validate: true,
                 batch: Some(100),
-                shards: 1,
-                ingest_jobs,
             })
             .unwrap()
         };
-        let reference = check(&std_path, 1);
-        let parallel = check(&rbt_path, 3);
+        let reference = check(&std_path);
+        let binary = check(&rbt_path);
         let verdict =
             |out: &str| out.lines().find(|l| l.starts_with("verdict:")).map(str::to_owned);
-        assert_eq!(verdict(&parallel), verdict(&reference), "{parallel}\nvs\n{reference}");
-        assert!(parallel.contains("chunk-parallel ingest"), "{parallel}");
-        // Text input with ingest_jobs > 1 gets the same guidance as compare.
-        let err = run(Command::Aerodrome {
-            partition: PartitionChoice::RoundRobin,
-            path: std_path,
-            algorithm: Algorithm::Optimized,
-            validate: true,
-            batch: None,
-            shards: 1,
-            ingest_jobs: 2,
-        })
-        .unwrap_err();
-        assert!(err.contains("rapid convert"), "{err}");
+        assert_eq!(verdict(&binary), verdict(&reference), "{binary}\nvs\n{reference}");
     }
 
+    /// An `.rbt` footer whose counts overflow the offset arithmetic is
+    /// rejected as corrupt by every ingesting subcommand; none of them
+    /// panics, and the error names the file.
     #[test]
-    fn sharded_check_matches_sequential_and_rejects_optimized() {
-        let dir = tmp_dir("sharded-check");
-        let std_path = generate_std(&dir, "t.std", 3_000);
+    fn crafted_footer_counts_are_errors_not_panics() {
+        let dir = tmp_dir("crafted-footer");
+        let std_path = format!("{dir}/t.std");
+        std::fs::write(&std_path, "t1|begin|0\nt1|w(x)|1\nt1|end|2\n").unwrap();
         let rbt_path = format!("{dir}/t.rbt");
         convert(&std_path, &rbt_path);
-        let verdict =
-            |out: &str| out.lines().find(|l| l.starts_with("verdict:")).map(str::to_owned);
-        for algorithm in [Algorithm::Basic, Algorithm::ReadOpt] {
-            let sequential = run(Command::Aerodrome {
-                partition: PartitionChoice::RoundRobin,
-                path: std_path.clone(),
-                algorithm,
-                validate: true,
-                batch: None,
-                shards: 1,
-                ingest_jobs: 1,
-            })
-            .unwrap();
-            for (path, ingest_jobs) in [(&std_path, 1usize), (&rbt_path, 2)] {
-                let sharded = run(Command::Aerodrome {
-                    partition: PartitionChoice::RoundRobin,
-                    path: path.clone(),
-                    algorithm,
+        let clean = std::fs::read(&rbt_path).unwrap();
+        let footer = clean.len() - tracelog::binfmt::FOOTER_BYTES;
+        // chunk_count is footer word 4: 2^62 + 1 entries of 24 bytes
+        // wrap back to one entry's length; event_count is word 3.
+        for (word, value) in [(4, (1u64 << 62) + 1), (3, u64::MAX / 9 + 1)] {
+            let mut bytes = clean.clone();
+            let at = footer + word * 8;
+            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let evil = format!("{dir}/evil-{word}.rbt");
+            std::fs::write(&evil, &bytes).unwrap();
+            for cmd in [
+                Command::Aerodrome {
+                    path: evil.clone(),
+                    algorithm: Algorithm::Optimized,
                     validate: true,
                     batch: None,
-                    shards: 3,
-                    ingest_jobs,
-                })
-                .unwrap();
-                assert_eq!(
-                    verdict(&sharded),
-                    verdict(&sequential),
-                    "{algorithm:?} ingest_jobs={ingest_jobs}:\n{sharded}\nvs\n{sequential}"
-                );
-                assert!(sharded.contains("sharding: shards=3"), "{sharded}");
+                },
+                Command::MetaInfo { path: evil.clone(), batch: None },
+                Command::Validate { path: evil.clone(), batch: None },
+                Command::Compare { path: evil.clone(), jobs: 1, batch: None, validate: true },
+            ] {
+                let err = run(cmd).unwrap_err();
+                assert!(err.starts_with(&evil), "{err}");
+                assert!(err.contains("corrupt .rbt file"), "{err}");
             }
-        }
-        let err = run(Command::Aerodrome {
-            partition: PartitionChoice::RoundRobin,
-            path: std_path,
-            algorithm: Algorithm::Optimized,
-            validate: true,
-            batch: None,
-            shards: 2,
-            ingest_jobs: 1,
-        })
-        .unwrap_err();
-        assert!(err.contains("basic|readopt"), "{err}");
-    }
-
-    #[test]
-    fn compare_shards_runs_the_differential_and_reports_identical() {
-        let dir = tmp_dir("compare-shards");
-        let std_path = generate_std(&dir, "t.std", 2_000);
-        let out = run(Command::Compare {
-            partition: PartitionChoice::RoundRobin,
-            path: std_path,
-            jobs: 1,
-            ingest_jobs: 1,
-            batch: Some(129),
-            validate: true,
-            shards: 4,
-        })
-        .unwrap();
-        assert!(out.contains("sharded differential"), "{out}");
-        assert!(out.contains("bit-identical to the sequential engine"), "{out}");
-        assert!(!out.contains("DIVERGED"), "{out}");
-    }
-
-    fn generate_fanout(dir: &str, name: &str, events: usize) -> String {
-        let path = format!("{dir}/{name}");
-        run(Command::Generate {
-            path: path.clone(),
-            cfg: Box::new(workloads::GenConfig {
-                events,
-                threads: 4,
-                ..workloads::GenConfig::default()
-            }),
-            profile: Some("fanout".into()),
-            overrides: GenOverrides::default(),
-            seal: false,
-            jobs: 0,
-            corpus: None,
-            batch: None,
-            out_format: OutFormat::default(),
-        })
-        .unwrap();
-        path
-    }
-
-    fn cross_of(out: &str) -> u64 {
-        out.lines()
-            .find(|l| l.starts_with("sharding:"))
-            .and_then(|l| l.split_whitespace().find_map(|w| w.strip_prefix("cross=")))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("no sharding cross count in:\n{out}"))
-    }
-
-    #[test]
-    fn partition_subcommand_plans_and_check_accepts_the_plan() {
-        let dir = tmp_dir("partition-plan");
-        let std_path = generate_fanout(&dir, "fanout.std", 4_000);
-        let rbt_path = format!("{dir}/fanout.rbt");
-        convert(&std_path, &rbt_path);
-        let plan_path = format!("{dir}/plan.json");
-
-        let out = run(Command::Partition {
-            path: rbt_path.clone(),
-            shards: 2,
-            balance: affinity::DEFAULT_BALANCE,
-            out: Some(plan_path.clone()),
-            measure: true,
-            batch: None,
-            ingest_jobs: 2,
-        })
-        .unwrap();
-        assert!(out.contains("plan written"), "{out}");
-        assert!(out.contains("exact ✓"), "prediction must match the measured run: {out}");
-
-        let check = |partition: PartitionChoice| {
-            run(Command::Aerodrome {
-                partition,
-                path: rbt_path.clone(),
-                algorithm: Algorithm::ReadOpt,
-                validate: true,
-                batch: None,
-                shards: 2,
-                ingest_jobs: 1,
-            })
-            .unwrap()
-        };
-        let verdict =
-            |out: &str| out.lines().find(|l| l.starts_with("verdict:")).map(str::to_owned);
-        let rr = check(PartitionChoice::RoundRobin);
-        let auto = check(PartitionChoice::Auto);
-        let planned = check(PartitionChoice::Plan(plan_path.clone()));
-        assert_eq!(verdict(&auto), verdict(&rr), "{auto}\nvs\n{rr}");
-        assert_eq!(verdict(&planned), verdict(&rr), "{planned}\nvs\n{rr}");
-        // The saved plan IS the auto plan: identical routing, identical cost.
-        assert_eq!(cross_of(&auto), cross_of(&planned), "{auto}\nvs\n{planned}");
-        // Fanout's private vars re-align with their workers: ≥2× fewer
-        // cross-shard events than blind round-robin.
-        assert!(
-            2 * cross_of(&auto) <= cross_of(&rr),
-            "auto={} rr={}:\n{auto}\nvs\n{rr}",
-            cross_of(&auto),
-            cross_of(&rr)
-        );
-        assert!(auto.contains("partition: auto"), "{auto}");
-        assert!(planned.contains(&format!("plan {plan_path}")), "{planned}");
-
-        // A plan is bound to its shard count; a mismatch is an error,
-        // not a silent re-derivation.
-        let err = run(Command::Aerodrome {
-            partition: PartitionChoice::Plan(plan_path),
-            path: rbt_path,
-            algorithm: Algorithm::ReadOpt,
-            validate: true,
-            batch: None,
-            shards: 3,
-            ingest_jobs: 1,
-        })
-        .unwrap_err();
-        assert!(err.contains("--shards 3"), "{err}");
-    }
-
-    #[test]
-    fn compare_accepts_auto_partition() {
-        let dir = tmp_dir("compare-auto");
-        let std_path = generate_fanout(&dir, "fanout.std", 2_000);
-        let out = run(Command::Compare {
-            partition: PartitionChoice::Auto,
-            path: std_path,
-            jobs: 1,
-            ingest_jobs: 1,
-            batch: Some(129),
-            validate: true,
-            shards: 2,
-        })
-        .unwrap();
-        assert!(out.contains("auto"), "{out}");
-        assert!(out.contains("bit-identical to the sequential engine"), "{out}");
-        assert!(!out.contains("DIVERGED"), "{out}");
-    }
-
-    #[test]
-    fn metainfo_and_validate_ingest_chunk_parallel() {
-        let dir = tmp_dir("meta-ingest");
-        let std_path = generate_std(&dir, "t.std", 2_000);
-        let rbt_path = format!("{dir}/t.rbt");
-        convert(&std_path, &rbt_path);
-        let strip = |out: &str| -> String {
-            out.lines()
-                .filter(|l| !l.contains("chunk-parallel ingest"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-
-        let meta_seq =
-            run(Command::MetaInfo { path: rbt_path.clone(), batch: None, ingest_jobs: 1 }).unwrap();
-        let meta_par =
-            run(Command::MetaInfo { path: rbt_path.clone(), batch: Some(128), ingest_jobs: 3 })
-                .unwrap();
-        assert!(meta_par.contains("chunk-parallel ingest"), "{meta_par}");
-        assert_eq!(strip(&meta_par), strip(&meta_seq), "{meta_par}\nvs\n{meta_seq}");
-
-        let val_seq =
-            run(Command::Validate { path: rbt_path.clone(), batch: None, ingest_jobs: 1 }).unwrap();
-        let val_par =
-            run(Command::Validate { path: rbt_path, batch: Some(128), ingest_jobs: 3 }).unwrap();
-        assert!(val_par.contains("chunk-parallel ingest"), "{val_par}");
-        assert_eq!(strip(&val_par), strip(&val_seq), "{val_par}\nvs\n{val_seq}");
-
-        // Text input gets the same convert guidance as the other commands.
-        for cmd in [
-            Command::MetaInfo { path: std_path.clone(), batch: None, ingest_jobs: 2 },
-            Command::Validate { path: std_path, batch: None, ingest_jobs: 2 },
-        ] {
-            let err = run(cmd).unwrap_err();
-            assert!(err.contains("rapid convert"), "{err}");
         }
     }
 
@@ -3894,8 +2859,7 @@ mod binfmt_cli_tests {
         let offset = tracelog::binfmt::HEADER_BYTES + 300 * 9;
         bytes[offset] = 0xEE;
         std::fs::write(&rbt_path, &bytes).unwrap();
-        let err =
-            run(Command::MetaInfo { path: rbt_path, batch: None, ingest_jobs: 1 }).unwrap_err();
+        let err = run(Command::MetaInfo { path: rbt_path, batch: None }).unwrap_err();
         assert!(err.contains("record 300 (chunk 1)"), "{err}");
     }
 }

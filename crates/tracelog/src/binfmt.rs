@@ -33,9 +33,8 @@
 //! sizes once the chunk has been read. Because records are fixed-width,
 //! a chunk boundary can never split a record, and a reader can start
 //! decoding at any chunk boundary without touching the bytes before it:
-//! that is what makes chunk-parallel ingest of a single file possible
-//! (N readers claim chunks and feed the parallel runtime's bounded
-//! channels). The name tables live *after* the events so the writer is a
+//! that is what lets a reader seek to a chunk and replay from there
+//! ([`MmapSource::for_chunk`]). The name tables live *after* the events so the writer is a
 //! single forward pass — no seeking, so the format can be written to a
 //! pipe.
 //!
@@ -106,9 +105,8 @@ pub const FOOTER_BYTES: usize = 48;
 pub const CHUNK_ENTRY_BYTES: usize = 24;
 
 /// Default events per chunk for the writer: big enough that per-chunk
-/// overhead (an index entry, a claim in the parallel reader) is noise,
-/// small enough that a 1M-event file still splits into ~16 chunks for
-/// chunk-parallel ingest. 65 536 events ≈ 576 KiB of records.
+/// overhead (an index entry) is noise, small enough that a seek lands
+/// within one chunk of any event. 65 536 events ≈ 576 KiB of records.
 pub const DEFAULT_CHUNK_EVENTS: u32 = 1 << 16;
 
 /// A structurally invalid `.rbt` file, with chunk + record attribution
@@ -291,7 +289,7 @@ pub struct ChunkMeta {
 /// The read side of an `.rbt` file: validated container metadata, the
 /// preloaded name tables, the chunk index, and the (mapped or seekable)
 /// event region. Cheap to share behind an [`Arc`]: every [`MmapSource`]
-/// — the whole-file reader and each chunk-parallel reader — borrows the
+/// — the whole-file reader and each per-chunk reader — borrows the
 /// same mapping.
 #[derive(Debug)]
 pub struct BinTrace {
@@ -346,26 +344,46 @@ impl BinTrace {
         let (index_offset, names_offset, names_len, event_count, chunk_count) =
             (word(0), word(1), word(2), word(3), word(4));
 
-        let events_end = HEADER_BYTES as u64 + event_count * EVENT_RECORD_BYTES as u64;
+        // The footer is untrusted input: every region bound is computed
+        // with checked arithmetic, so a crafted count cannot wrap into a
+        // length that passes the checks below.
+        let overflow = |what| BinfmtError::Corrupt { what };
+        let events_end = event_count
+            .checked_mul(EVENT_RECORD_BYTES as u64)
+            .and_then(|len| len.checked_add(HEADER_BYTES as u64))
+            .ok_or_else(|| overflow("event_count overflows the event region"))?;
         if names_offset != events_end {
             return Err(BinfmtError::Corrupt { what: "name region does not follow event region" });
         }
-        if index_offset != names_offset + names_len {
+        let names_end = names_offset
+            .checked_add(names_len)
+            .ok_or_else(|| overflow("names_offset + names_len overflows"))?;
+        if index_offset != names_end {
             return Err(BinfmtError::Corrupt { what: "chunk index does not follow name region" });
         }
-        let index_len = chunk_count * CHUNK_ENTRY_BYTES as u64;
-        if index_offset + index_len != file_len - FOOTER_BYTES as u64 {
+        let index_len = chunk_count
+            .checked_mul(CHUNK_ENTRY_BYTES as u64)
+            .ok_or_else(|| overflow("chunk_count overflows the chunk index length"))?;
+        let index_end = index_offset
+            .checked_add(index_len)
+            .ok_or_else(|| overflow("index_offset + index_len overflows"))?;
+        if index_end != file_len - FOOTER_BYTES as u64 {
             return Err(BinfmtError::Corrupt { what: "chunk index does not end at the footer" });
         }
+        // Both regions now lie inside the file, so their lengths fit the
+        // address space of any target that could map it.
+        let names_len = usize::try_from(names_len)
+            .map_err(|_| overflow("names_len exceeds the address space"))?;
+        let chunk_count = usize::try_from(chunk_count)
+            .map_err(|_| overflow("chunk_count exceeds the address space"))?;
 
         let mut threads = Interner::new();
         let mut locks = Interner::new();
         let mut vars = Interner::new();
-        let names = backing.read(names_offset, names_len as usize, &mut scratch)?;
+        let names = backing.read(names_offset, names_len, &mut scratch)?;
         wire::decode_names(names, &mut threads, &mut locks, &mut vars)
             .map_err(BinfmtError::Names)?;
 
-        let chunk_count = usize::try_from(chunk_count).expect("chunk count fits usize");
         let mut chunks = Vec::with_capacity(chunk_count);
         let index = backing.read(index_offset, chunk_count * CHUNK_ENTRY_BYTES, &mut scratch)?;
         let mut next_event = 0u64;
@@ -459,8 +477,8 @@ enum Backing {
     #[cfg_attr(not(unix), allow(dead_code))]
     Mapped(map::Mmap),
     /// Positioned reads (`pread`) into a caller scratch buffer — the
-    /// fallback when mapping fails; no shared cursor, so chunk-parallel
-    /// readers stay independent.
+    /// fallback when mapping fails; no shared cursor, so readers stay
+    /// independent.
     #[cfg(unix)]
     File(File),
     /// The whole file read into memory once (non-Unix builds; on Unix
@@ -611,7 +629,7 @@ mod map {
 ///
 /// A source covers either the whole trace ([`MmapSource::new`] /
 /// [`MmapSource::open`]) or a single chunk ([`MmapSource::for_chunk`]) —
-/// the unit the chunk-parallel ingest mode hands to each reader thread.
+/// the unit a reader seeks to.
 /// Decode errors are **fatal** (the latch mirrors [`StdReader`]) and
 /// carry chunk + record attribution via [`BinfmtError::Record`].
 #[derive(Debug)]
@@ -641,10 +659,9 @@ impl MmapSource {
         Self { trace, start: 0, next: 0, end, scratch: Vec::new(), done: false }
     }
 
-    /// A source over a single chunk of an already-open trace — the unit
-    /// of chunk-parallel ingest. Each reader thread holds one of these
-    /// per claimed chunk; they share the mapping through the [`Arc`] and
-    /// have no mutable state in common.
+    /// A source over a single chunk of an already-open trace: seek to
+    /// the chunk and replay it. Sources share the mapping through the
+    /// [`Arc`] and have no mutable state in common.
     ///
     /// # Panics
     ///
@@ -657,8 +674,8 @@ impl MmapSource {
     }
 
     /// Re-aims an existing source at another chunk, keeping the scratch
-    /// buffer warm — how a chunk-parallel reader thread walks its
-    /// claimed chunks without reallocating.
+    /// buffer warm, so one source walks many chunks without
+    /// reallocating.
     ///
     /// # Panics
     ///
@@ -669,12 +686,6 @@ impl MmapSource {
         self.next = meta.first_event;
         self.end = meta.first_event + u64::from(meta.events);
         self.done = false;
-    }
-
-    /// The shared trace this source reads.
-    #[must_use]
-    pub fn trace(&self) -> &Arc<BinTrace> {
-        &self.trace
     }
 
     fn record_error(&mut self, record: u64, error: WireError) -> SourceError {
@@ -1009,6 +1020,42 @@ mod tests {
         }
         // Errors are fatal, as in StdReader.
         assert_eq!(source.next_batch(&mut batch).unwrap(), 0);
+    }
+
+    /// Rewrites footer word `word` (0 = index_offset … 4 = chunk_count).
+    fn with_footer_word(bytes: &[u8], word: usize, value: u64) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        let at = out.len() - FOOTER_BYTES + word * 8;
+        out[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn overflowing_chunk_count_is_corrupt_not_a_panic() {
+        let path = write_sample("chunk-count.rbt", DEFAULT_CHUNK_EVENTS);
+        let bytes = fs::read(&path).unwrap();
+        // One chunk: (2^62 + 1) × 24 wraps to 24, the length of the real
+        // index, so only checked arithmetic tells the two apart.
+        let evil = with_footer_word(&bytes, 4, (1 << 62) + 1);
+        let cut = temp("chunk-count-evil.rbt");
+        fs::write(&cut, &evil).unwrap();
+        assert!(matches!(
+            BinTrace::open(&cut).unwrap_err(),
+            BinfmtError::Corrupt { what } if what.contains("chunk_count")
+        ));
+    }
+
+    #[test]
+    fn overflowing_event_count_is_corrupt_not_a_panic() {
+        let path = write_sample("event-count.rbt", DEFAULT_CHUNK_EVENTS);
+        let bytes = fs::read(&path).unwrap();
+        let evil = with_footer_word(&bytes, 3, u64::MAX / EVENT_RECORD_BYTES as u64 + 1);
+        let cut = temp("event-count-evil.rbt");
+        fs::write(&cut, &evil).unwrap();
+        assert!(matches!(
+            BinTrace::open(&cut).unwrap_err(),
+            BinfmtError::Corrupt { what } if what.contains("event_count")
+        ));
     }
 
     #[test]

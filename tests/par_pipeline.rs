@@ -159,7 +159,7 @@ fn slow_worker_never_grows_memory() {
 
 /// An `OptimizedChecker` that samples its own pool's heap-allocation
 /// counter at a warm-up point *on the worker thread* — the
-/// `tests/pool_alloc.rs` invariant, measured where the shard-local pool
+/// `tests/pool_alloc.rs` invariant, measured where the worker-local pool
 /// actually lives.
 struct WarmupProbe {
     inner: OptimizedChecker,
@@ -193,7 +193,7 @@ impl Checker for WarmupProbe {
     }
 }
 
-/// Each worker's shard-local pool reaches the zero-allocation steady
+/// Each worker's own pool reaches the zero-allocation steady
 /// state inside the parallel runtime, exactly as in the sequential
 /// `tests/pool_alloc.rs` run.
 #[test]
