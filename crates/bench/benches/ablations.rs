@@ -4,7 +4,6 @@
 //! * the pooled clock core vs the cloned baseline (same rules, swapped
 //!   [`vc::store::ClockStore`]) per workload shape,
 //! * Velodrome with and without garbage collection,
-//! * DFS vs Pearce–Kelly cycle detection,
 //! * the two-phase `twophase_batch` sensitivity sweep,
 //! * raw vector-clock operation costs.
 
@@ -17,7 +16,7 @@ use aerodrome::optimized::{ClonedOptimizedChecker, OptimizedChecker};
 use aerodrome::readopt::ReadOptChecker;
 use aerodrome::{run_checker, Checker};
 use vc::VectorClock;
-use velodrome::{twophase, Config, Strategy, VelodromeChecker};
+use velodrome::{twophase, Config, VelodromeChecker};
 use workloads::{generate, GenConfig};
 
 fn ablation_trace() -> tracelog::Trace {
@@ -78,11 +77,6 @@ fn bench_clock_core(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("cloned", name), trace, |b, trace| {
             b.iter(|| run_to_end(ClonedOptimizedChecker::new(), trace));
         });
-        // The frozen pre-refactor checker: the before-state this PR's
-        // clone-free core is measured against.
-        g.bench_with_input(BenchmarkId::new("seed", name), trace, |b, trace| {
-            b.iter(|| run_to_end(bench::seed_baseline::SeedOptimizedChecker::new(), trace));
-        });
     }
     g.finish();
 }
@@ -123,43 +117,7 @@ fn bench_velodrome_gc(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(gc), &gc, |b, &gc| {
             b.iter(|| {
                 run_to_end(
-                    VelodromeChecker::with_config(Config {
-                        gc,
-                        strategy: Strategy::Dfs,
-                        ..Config::default()
-                    }),
-                    &trace,
-                );
-            });
-        });
-    }
-    g.finish();
-}
-
-fn bench_cycle_detection(c: &mut Criterion) {
-    // Retention keeps the graph large so the strategy choice matters.
-    let trace = generate(&GenConfig {
-        seed: 13,
-        threads: 8,
-        locks: 4,
-        vars: 256,
-        events: 15_000,
-        retention: true,
-        probe_period: 100,
-        violation_at: None,
-        ..GenConfig::default()
-    });
-    let mut g = c.benchmark_group("ablation_cycle_detection");
-    g.sample_size(10).measurement_time(Duration::from_secs(5));
-    for (name, strategy) in [("dfs", Strategy::Dfs), ("pearce_kelly", Strategy::PearceKelly)] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                run_to_end(
-                    VelodromeChecker::with_config(Config {
-                        gc: true,
-                        strategy,
-                        ..Config::default()
-                    }),
+                    VelodromeChecker::with_config(Config { gc, ..Config::default() }),
                     &trace,
                 );
             });
@@ -196,7 +154,6 @@ criterion_group!(
     bench_clock_core,
     bench_twophase_batch,
     bench_velodrome_gc,
-    bench_cycle_detection,
     bench_vector_clock_ops
 );
 criterion_main!(benches);

@@ -13,7 +13,6 @@
 #![warn(missing_docs)]
 
 pub mod regress;
-pub mod seed_baseline;
 
 use std::time::{Duration, Instant};
 
@@ -196,9 +195,16 @@ pub fn format_table(title: &str, rows: &[TableRow]) -> String {
 /// 2. Both checkers agree on the verdict unless one timed out.
 /// 3. On retention workloads (realistic specs, Table 1 big-speedup rows)
 ///    AeroDrome is faster than Velodrome.
+///
+/// Every claim needs a finished AeroDrome run, so a table where none
+/// finished (say, a zero budget) is itself reported as a problem rather
+/// than passing vacuously.
 #[must_use]
 pub fn check_shape(rows: &[TableRow]) -> Vec<String> {
     let mut problems = Vec::new();
+    if rows.iter().all(|r| r.aerodrome.timed_out) {
+        problems.push("no AeroDrome run finished within the budget: nothing was checked".into());
+    }
     for r in rows {
         let measured_violation = r.aerodrome.violation;
         if !r.aerodrome.timed_out && measured_violation == r.profile.row.atomic {
@@ -248,6 +254,16 @@ mod tests {
         assert!(!row.aerodrome.timed_out);
         assert!(row.speedup().is_some());
         assert!(check_shape(&[row]).is_empty());
+    }
+
+    #[test]
+    fn shape_check_fails_when_no_aerodrome_run_finished() {
+        let row = run_profile(&tiny_profile(), Duration::ZERO);
+        assert!(row.aerodrome.timed_out && row.velodrome.timed_out);
+        let problems = check_shape(&[row]);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("no AeroDrome run finished"), "{problems:?}");
+        assert!(!check_shape(&[]).is_empty(), "an empty table checks nothing");
     }
 
     #[test]

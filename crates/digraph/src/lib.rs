@@ -9,10 +9,7 @@
 //! * [`DiGraph`] — slot-map directed graph with O(1) node insert/remove,
 //!   per-node adjacency, and duplicate-edge detection;
 //! * [`dfs`] — reachability/cycle queries by depth-first search (the
-//!   strategy whose worst case gives Velodrome its cubic bound);
-//! * [`pk`] — a Pearce–Kelly incremental topological order as an ablation
-//!   (better constants on sparse graphs, same asymptotics on the paper's
-//!   dense ones).
+//!   strategy whose worst case gives Velodrome its cubic bound).
 //!
 //! # Examples
 //!
@@ -33,15 +30,12 @@
 
 pub mod dfs;
 mod graph;
-pub mod pk;
 
 pub use graph::{DiGraph, NodeId, NodeRef};
 
 /// Velodrome engines move across threads in the parallel runtime; the
-/// whole substrate (arena graph, DFS scratch, Pearce–Kelly order) must
-/// stay `Send`. Asserted at compile time.
+/// whole substrate (arena graph, DFS scratch) must stay `Send`. Asserted at compile time.
 #[allow(dead_code)]
 const fn assert_send<T: Send>() {}
 const _: () = assert_send::<DiGraph<u64>>();
 const _: () = assert_send::<dfs::Searcher>();
-const _: () = assert_send::<pk::PearceKelly>();

@@ -33,7 +33,7 @@ use aerodrome_suite::pipeline::Pipeline;
 use tracelog::binfmt::{self, AnySource, DEFAULT_CHUNK_EVENTS};
 use tracelog::stream::{copy_events, EventBatch, EventSource, SourceNames, DEFAULT_BATCH_EVENTS};
 use tracelog::{MetaInfo, SourceError, Trace, Validator, ValiditySummary};
-use velodrome::{Config, Strategy, VelodromeChecker};
+use velodrome::{Config, VelodromeChecker};
 
 /// A parsed command line.
 #[derive(Clone, Debug, PartialEq)]
@@ -59,8 +59,7 @@ pub enum Command {
         /// Events per ingest batch; `None` uses the default (~4096).
         batch: Option<usize>,
     },
-    /// `rapid velodrome <trace.std> [--no-gc] [--pearce-kelly]
-    /// [--batch N] [--no-validate]`.
+    /// `rapid velodrome <trace.std> [--no-gc] [--batch N] [--no-validate]`.
     Velodrome {
         /// Path of the trace log.
         path: String,
@@ -399,8 +398,7 @@ USAGE:
     rapid metainfo  <trace.std> [--batch N]
     rapid aerodrome <trace.std> [--algorithm basic|readopt|optimized]
                     [--batch N] [--no-validate]   (alias: rapid check)
-    rapid velodrome <trace.std> [--no-gc] [--pearce-kelly]
-                    [--batch N] [--no-validate]
+    rapid velodrome <trace.std> [--no-gc] [--batch N] [--no-validate]
     rapid compare   <trace.std> [--jobs N] [--batch N] [--no-validate]
     rapid batch     <dir|manifest|trace.std> [--jobs N] [--batch N]
                     [--checker all|basic|readopt|optimized|velodrome]
@@ -635,7 +633,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
             while i < args.len() {
                 match args[i].as_str() {
                     "--no-gc" => config.gc = false,
-                    "--pearce-kelly" => config.strategy = Strategy::PearceKelly,
                     "--batch" => batch = Some(batch_flag(args, &mut i)?),
                     "--no-validate" => validate = false,
                     other => return Err(UsageError(format!("unknown flag `{other}`"))),
@@ -845,7 +842,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
             while i < args.len() {
                 match args[i].as_str() {
                     "--budget" => {
-                        budget = Duration::from_secs(num_flag(args, &mut i, "--budget")?);
+                        let secs = positive_flag(args, &mut i, "--budget")?;
+                        budget = Duration::from_secs(secs as u64);
                     }
                     other => return Err(UsageError(format!("unknown flag `{other}`"))),
                 }
@@ -865,7 +863,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
             while i < args.len() {
                 match args[i].as_str() {
                     "--phase-batch" => {
-                        phase_batch = Some(num_flag(args, &mut i, "--phase-batch")?);
+                        phase_batch = Some(positive_flag(args, &mut i, "--phase-batch")?);
                     }
                     "--batch" => batch = Some(batch_flag(args, &mut i)?),
                     "--no-validate" => validate = false,
@@ -2028,9 +2026,9 @@ mod tests {
         assert!(parse_args(&args(&["validate"])).is_err());
     }
 
-    /// The CLI has no per-trace sharding or chunk-parallel ingest (see
-    /// docs/PERF.md): their flags and the `partition` subcommand are
-    /// usage errors that name them.
+    /// The CLI has no per-trace sharding, chunk-parallel ingest or
+    /// Pearce–Kelly cycle detection (see docs/PERF.md): their flags and
+    /// the `partition` subcommand are usage errors that name them.
     #[test]
     fn removed_sharding_and_ingest_flags_are_rejected() {
         for (argv, named) in [
@@ -2039,6 +2037,7 @@ mod tests {
             (&["compare", "t.rbt", "--ingest-jobs", "2"][..], "--ingest-jobs"),
             (&["metainfo", "t.rbt", "--ingest-jobs", "2"][..], "--ingest-jobs"),
             (&["partition", "x.rbt"][..], "partition"),
+            (&["velodrome", "t.std", "--pearce-kelly"][..], "--pearce-kelly"),
         ] {
             let err = parse_args(&args(argv)).unwrap_err();
             assert!(err.0.contains(&format!("`{named}`")), "{argv:?}: {err}");
@@ -2047,12 +2046,11 @@ mod tests {
 
     #[test]
     fn parses_velodrome_flags() {
-        let cmd = parse_args(&args(&["velodrome", "t.std", "--no-gc", "--pearce-kelly"])).unwrap();
+        let cmd = parse_args(&args(&["velodrome", "t.std", "--no-gc"])).unwrap();
         match cmd {
             Command::Velodrome { config, validate, .. } => {
                 assert!(!config.gc);
                 assert!(validate);
-                assert_eq!(config.strategy, Strategy::PearceKelly);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -2993,6 +2991,15 @@ mod serve_cli_tests {
             argv.extend(args(&["--batch", "0"]));
             let err = parse_args(&argv).unwrap_err();
             assert!(err.0.contains("--batch must be positive"), "{base:?}: wrong error: {err}");
+        }
+        // The other count flags share the same helper and message.
+        for (argv, flag) in [
+            (&["twophase", "t.std", "--phase-batch", "0"][..], "--phase-batch"),
+            (&["table1", "--budget", "0"][..], "--budget"),
+            (&["table2", "--budget", "0"][..], "--budget"),
+        ] {
+            let err = parse_args(&args(argv)).unwrap_err();
+            assert!(err.0.contains(&format!("{flag} must be positive")), "{argv:?}: {err}");
         }
     }
 }

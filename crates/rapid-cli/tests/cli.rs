@@ -74,8 +74,8 @@ fn artifact_workflow_generate_metainfo_analyze() {
     let velo = run_ok(&["velodrome", path_s]);
     assert!(velo.contains('✗'));
     assert!(velo.contains("graph:"));
-    let velo_pk = run_ok(&["velodrome", path_s, "--pearce-kelly", "--no-gc"]);
-    assert!(velo_pk.contains('✗'));
+    let velo_no_gc = run_ok(&["velodrome", path_s, "--no-gc"]);
+    assert!(velo_no_gc.contains('✗'));
 
     let tp = run_ok(&["twophase", path_s, "--batch", "256"]);
     assert!(tp.contains('✗'));

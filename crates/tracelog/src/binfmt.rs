@@ -778,6 +778,26 @@ pub enum AnySource {
     Bin(MmapSource),
 }
 
+/// Reads the first 8 bytes of `file` and rewinds it, reporting whether
+/// they are [`MAGIC`]. A file shorter than the magic is not binary.
+///
+/// # Errors
+///
+/// I/O failures of the read or the rewind.
+pub fn sniff_magic(file: &mut File) -> io::Result<bool> {
+    let mut magic = [0u8; 8];
+    let mut filled = 0;
+    while filled < magic.len() {
+        let n = file.read(&mut magic[filled..])?;
+        if n == 0 {
+            break;
+        }
+        filled += n;
+    }
+    file.seek(SeekFrom::Start(0))?;
+    Ok(filled == magic.len() && magic == MAGIC)
+}
+
 impl AnySource {
     /// Opens `path`, sniffing the first 8 bytes for [`MAGIC`]: a match
     /// opens the validated binary reader, anything else (including files
@@ -789,20 +809,10 @@ impl AnySource {
     /// but the container is structurally invalid.
     pub fn open(path: &Path) -> Result<Self, SourceError> {
         let mut file = File::open(path)?;
-        let mut magic = [0u8; 8];
-        let mut filled = 0;
-        while filled < magic.len() {
-            let n = file.read(&mut magic[filled..])?;
-            if n == 0 {
-                break;
-            }
-            filled += n;
-        }
-        if filled == magic.len() && magic == MAGIC {
+        if sniff_magic(&mut file)? {
             drop(file);
             return Ok(Self::Bin(MmapSource::open(path).map_err(SourceError::Binary)?));
         }
-        file.seek(SeekFrom::Start(0))?;
         Ok(Self::Std(Box::new(StdReader::new(BufReader::new(file)))))
     }
 

@@ -2,19 +2,8 @@
 
 use aerodrome::{Checker, Violation, ViolationKind};
 use digraph::dfs::Searcher;
-use digraph::{dfs, pk::PearceKelly, DiGraph, NodeId, NodeRef};
+use digraph::{dfs, DiGraph, NodeId, NodeRef};
 use tracelog::{Event, EventId, Op, ThreadId, VarId};
-
-/// How cycles are detected at edge-insertion time.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Strategy {
-    /// Depth-first reachability per insertion — what the paper's
-    /// JGraphT-based implementation effectively does.
-    #[default]
-    Dfs,
-    /// Pearce–Kelly incremental topological ordering (ablation).
-    PearceKelly,
-}
 
 /// Velodrome configuration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -22,8 +11,6 @@ pub struct Config {
     /// Garbage-collect completed transactions without incoming edges
     /// (the optimization of Flanagan–Freund–Yi §5.1 the paper enables).
     pub gc: bool,
-    /// Cycle-detection strategy.
-    pub strategy: Strategy,
     /// Phase-1 cycle-check batch size of the DoubleChecker-style
     /// [`crate::twophase`] analysis: edges are inserted unchecked and a
     /// whole-graph cycle check runs every this many events. The default
@@ -43,7 +30,7 @@ impl Config {
 
 impl Default for Config {
     fn default() -> Self {
-        Self { gc: true, strategy: Strategy::Dfs, twophase_batch: Self::DEFAULT_TWOPHASE_BATCH }
+        Self { gc: true, twophase_batch: Self::DEFAULT_TWOPHASE_BATCH }
     }
 }
 
@@ -100,7 +87,6 @@ struct TxnNode {
 pub struct VelodromeChecker {
     config: Config,
     graph: DiGraph<TxnNode>,
-    pk: PearceKelly,
     /// Reusable DFS scratch (allocation-free cycle checks once warm).
     searcher: Searcher,
     next_txn: u64,
@@ -135,7 +121,7 @@ fn ensure<T: Clone>(v: &mut Vec<T>, i: usize, default: T) {
 }
 
 impl VelodromeChecker {
-    /// Creates a checker with the default configuration (GC on, DFS).
+    /// Creates a checker with the default configuration (GC on).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -166,9 +152,8 @@ impl VelodromeChecker {
     /// Session reset: clears all per-trace state so the next trace sees a
     /// freshly constructed checker — same verdicts, same graph statistics
     /// — while the graph slab, adjacency lists, reader lists and the DFS
-    /// scratch keep their capacity. The Pearce–Kelly order and the
-    /// searcher's stamped visit marks are generation/stamp-based and need
-    /// no clearing at all.
+    /// scratch keep their capacity. The searcher's stamped visit marks
+    /// need no clearing at all.
     pub fn reset(&mut self) {
         self.graph.reset();
         self.next_txn = 0;
@@ -207,9 +192,6 @@ impl VelodromeChecker {
         let txn = self.next_txn;
         self.next_txn += 1;
         let node = self.graph.add_node(TxnNode { txn, completed });
-        if self.config.strategy == Strategy::PearceKelly {
-            self.pk.on_add_node(node);
-        }
         let handle = self.graph.handle(node);
         self.stats.nodes_created += 1;
         let ti = t.index();
@@ -223,8 +205,6 @@ impl VelodromeChecker {
             if let Some(from) = self.graph.resolve(src) {
                 if self.graph.add_edge(from, node) {
                     self.stats.edges_created += 1;
-                    // PK order remains valid: `node` was appended last and
-                    // only gains incoming edges here.
                 }
             }
         }
@@ -255,29 +235,16 @@ impl VelodromeChecker {
             return false;
         }
         self.stats.cycle_checks += 1;
-        match self.config.strategy {
-            Strategy::Dfs => {
-                // `from → to` closes a cycle iff `from` is reachable from
-                // `to`.
-                let (cycle, visits) = self.searcher.reaches_counting(&self.graph, to, from);
-                self.stats.dfs_visits += visits;
-                self.stats.max_dfs_visits = self.stats.max_dfs_visits.max(visits);
-                if cycle {
-                    self.record_witness(from, to);
-                    return true;
-                }
-                self.graph.add_edge(from, to);
-                self.stats.edges_created += 1;
-            }
-            Strategy::PearceKelly => match self.pk.try_add_edge(&mut self.graph, from, to) {
-                Ok(true) => self.stats.edges_created += 1,
-                Ok(false) => {}
-                Err(_) => {
-                    self.record_witness(from, to);
-                    return true;
-                }
-            },
+        // `from → to` closes a cycle iff `from` is reachable from `to`.
+        let (cycle, visits) = self.searcher.reaches_counting(&self.graph, to, from);
+        self.stats.dfs_visits += visits;
+        self.stats.max_dfs_visits = self.stats.max_dfs_visits.max(visits);
+        if cycle {
+            self.record_witness(from, to);
+            return true;
         }
+        self.graph.add_edge(from, to);
+        self.stats.edges_created += 1;
         false
     }
 
@@ -478,20 +445,13 @@ mod tests {
     }
 
     #[test]
-    fn all_strategies_and_gc_modes_agree() {
+    fn both_gc_modes_agree() {
         for gc in [false, true] {
-            for strategy in [Strategy::Dfs, Strategy::PearceKelly] {
-                let cfg = Config { gc, strategy, ..Config::default() };
-                for (trace, expect) in
-                    [(rho1(), false), (rho2(), true), (rho3(), true), (rho4(), true)]
-                {
-                    let mut c = VelodromeChecker::with_config(cfg);
-                    assert_eq!(
-                        run_checker(&mut c, &trace).is_violation(),
-                        expect,
-                        "gc={gc} strategy={strategy:?}"
-                    );
-                }
+            let cfg = Config { gc, ..Config::default() };
+            for (trace, expect) in [(rho1(), false), (rho2(), true), (rho3(), true), (rho4(), true)]
+            {
+                let mut c = VelodromeChecker::with_config(cfg);
+                assert_eq!(run_checker(&mut c, &trace).is_violation(), expect, "gc={gc}");
             }
         }
     }

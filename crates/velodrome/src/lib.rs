@@ -11,16 +11,11 @@
 //!
 //! Each insertion triggers a reachability query over the current graph —
 //! the number of edges can grow quadratically with the trace, giving the
-//! overall cubic bound that motivates AeroDrome. Two mitigations from the
-//! literature are included:
-//!
-//! * **Garbage collection** ([`Config::gc`], on by default — the paper's
-//!   Velodrome implements it too): completed transactions with no
-//!   incoming edges cannot participate in cycles and are removed, with
-//!   cascading deletion of newly sourceless successors.
-//! * **Pearce–Kelly incremental topological ordering**
-//!   ([`Strategy::PearceKelly`], an ablation the paper does not have):
-//!   cheaper cycle checks on sparse graphs, same worst case.
+//! overall cubic bound that motivates AeroDrome. The literature's
+//! mitigation is included: **garbage collection** ([`Config::gc`], on by
+//! default — the paper's Velodrome implements it too). Completed
+//! transactions with no incoming edges cannot participate in cycles and
+//! are removed, with cascading deletion of newly sourceless successors.
 //!
 //! [`VelodromeChecker`] implements the same [`aerodrome::Checker`] trait
 //! as the vector-clock algorithms so the two families are benchmarked and
@@ -32,11 +27,11 @@
 mod checker;
 pub mod twophase;
 
-pub use checker::{Config, Strategy, VelodromeChecker, VelodromeStats};
+pub use checker::{Config, VelodromeChecker, VelodromeStats};
 
 /// The parallel runtime runs Velodrome on a worker thread next to the
 /// vector-clock checkers; the graph substrate (arena handles, DFS
-/// scratch, Pearce–Kelly state) must stay `Send`. Compile-time assert so
+/// scratch) must stay `Send`. Compile-time assert so
 /// a regression fails the build.
 #[allow(dead_code)]
 const fn assert_send<T: Send>() {}

@@ -10,7 +10,7 @@ use aerodrome::optimized::OptimizedChecker;
 use aerodrome::run_checker;
 use proptest::prelude::*;
 use tracelog::{validate, Trace, TraceBuilder};
-use velodrome::{twophase, Config, Strategy as VeloStrategy, VelodromeChecker};
+use velodrome::{twophase, Config, VelodromeChecker};
 use workloads::{generate, GenConfig};
 
 /// Mirror of the trace repair in `aerodrome/tests/differential.rs`.
@@ -116,13 +116,8 @@ fn action_strategy() -> impl Strategy<Value = Action> {
 fn all_velodrome_verdicts(trace: &Trace) -> Vec<(String, bool)> {
     let mut out = Vec::new();
     for gc in [false, true] {
-        for strategy in [VeloStrategy::Dfs, VeloStrategy::PearceKelly] {
-            let mut c = VelodromeChecker::with_config(Config { gc, strategy, ..Config::default() });
-            out.push((
-                format!("velodrome(gc={gc},{strategy:?})"),
-                run_checker(&mut c, trace).is_violation(),
-            ));
-        }
+        let mut c = VelodromeChecker::with_config(Config { gc, ..Config::default() });
+        out.push((format!("velodrome(gc={gc})"), run_checker(&mut c, trace).is_violation()));
     }
     let tp = Config { twophase_batch: 7, ..Config::default() };
     out.push(("twophase(batch=7)".into(), twophase::check(trace, &tp).outcome.is_violation()));

@@ -13,8 +13,7 @@
 //!   the linear-time vector-clock checker (Algorithms 1–3);
 //! * [`velodrome`] — the cubic transaction-graph baseline (plus a
 //!   DoubleChecker-style two-phase variant);
-//! * [`digraph`] — the graph substrate with DFS and Pearce–Kelly cycle
-//!   detection;
+//! * [`digraph`] — the graph substrate with DFS cycle detection;
 //! * [`workloads`] — deterministic trace generators and the Table 1/2
 //!   benchmark profiles;
 //! * [`oracle`] — a quadratic, Definition-1-faithful decision procedure

@@ -52,7 +52,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use aerodrome::{CheckerReport, Outcome, Violation};
-use tracelog::binfmt::MmapSource;
+use tracelog::binfmt::{sniff_magic, MmapSource};
 use tracelog::stream::{EventBatch, StdReader, DEFAULT_BATCH_EVENTS};
 use tracelog::{EventSource, Validator};
 
@@ -257,23 +257,6 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Reads the first 8 bytes of `file` and rewinds, reporting whether
-/// they are the `.rbt` magic.
-fn sniff_binary(file: &mut File) -> std::io::Result<bool> {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut magic = [0u8; 8];
-    let mut filled = 0;
-    while filled < magic.len() {
-        let n = file.read(&mut magic[filled..])?;
-        if n == 0 {
-            break;
-        }
-        filled += n;
-    }
-    file.seek(SeekFrom::Start(0))?;
-    Ok(filled == magic.len() && magic == tracelog::binfmt::MAGIC)
-}
-
 /// One trace's ingest-and-feed loop, shared by the text and binary
 /// paths: drains `source` batch by batch, validating (when a validator
 /// is supplied) and feeding the panel, matching `par::check_all`
@@ -352,7 +335,7 @@ impl Session {
         if let Some(mut file) = file {
             // Sniff the encoding by magic (not extension), as every
             // ingesting subcommand does.
-            let binary = match sniff_binary(&mut file) {
+            let binary = match sniff_magic(&mut file) {
                 Ok(b) => b,
                 Err(e) => {
                     error = Some(format!("{}: {e}", path.display()));

@@ -202,11 +202,13 @@ pub fn standard_checkers() -> Vec<SendChecker> {
 }
 
 /// A worker's share of the panel: each checker is owned outright,
-/// stopped individually at its first violation.
-struct Slot {
-    index: usize,
-    checker: SendChecker,
-    violation: Option<Violation>,
+/// stopped individually at its first violation, and remembers its place
+/// in the input order.
+#[derive(Default)]
+struct Share {
+    indices: Vec<usize>,
+    checkers: Vec<SendChecker>,
+    violations: Vec<Option<Violation>>,
 }
 
 /// Runs every checker over one ingest pass of `source`, in parallel.
@@ -252,9 +254,12 @@ pub fn check_all<S: EventSource + ?Sized>(
     let buffer_cap = depth + 2;
 
     // Round-robin the panel over the workers, remembering input order.
-    let mut assigned: Vec<Vec<Slot>> = (0..workers).map(|_| Vec::new()).collect();
+    let mut assigned: Vec<Share> = (0..workers).map(|_| Share::default()).collect();
     for (index, checker) in checkers.into_iter().enumerate() {
-        assigned[index % workers].push(Slot { index, checker, violation: None });
+        let share = &mut assigned[index % workers];
+        share.indices.push(index);
+        share.checkers.push(checker);
+        share.violations.push(None);
     }
 
     let mut validator = config.validate.then(Validator::new);
@@ -267,11 +272,11 @@ pub fn check_all<S: EventSource + ?Sized>(
         let (recycle_tx, recycle_rx) = mpsc::channel::<EventBatch>();
         let mut batch_txs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
-        for slots in assigned {
+        for share in assigned {
             let (tx, rx) = mpsc::sync_channel::<Arc<EventBatch>>(depth);
             let recycle = recycle_tx.clone();
             batch_txs.push(tx);
-            handles.push(s.spawn(move || worker(slots, &rx, &recycle)));
+            handles.push(s.spawn(move || worker(share, &rx, &recycle)));
         }
         // Workers hold the only recycle senders: when they are all gone
         // (panic), the blocking recv below errors instead of hanging.
@@ -385,37 +390,30 @@ pub fn check_all<S: EventSource + ?Sized>(
 /// Drains one worker's channel, feeding every batch to the worker's
 /// checkers and recycling the arena when this worker is the last holder.
 fn worker(
-    mut slots: Vec<Slot>,
+    mut share: Share,
     rx: &Receiver<Arc<EventBatch>>,
     recycle: &Sender<EventBatch>,
 ) -> Vec<(usize, CheckerRun)> {
     for batch in rx.iter() {
-        for slot in &mut slots {
-            if slot.violation.is_some() {
-                continue; // stopped: standalone runs stop here too
-            }
-            for &event in batch.events() {
-                if let Err(v) = slot.checker.process(event) {
-                    slot.violation = Some(v);
-                    break;
-                }
-            }
-        }
+        super::feed_panel(&mut share.checkers, &mut share.violations, &batch, |_, _| {});
         if let Some(arena) = Arc::into_inner(batch) {
             // Last holder: hand the arena back for the next refill. The
             // ingest side may already be gone on early exit; that's fine.
             let _ = recycle.send(arena);
         }
     }
-    slots
+    let Share { indices, checkers, violations } = share;
+    indices
         .into_iter()
-        .map(|slot| {
+        .zip(checkers)
+        .zip(violations)
+        .map(|((index, checker), violation)| {
             let run = CheckerRun {
-                name: slot.checker.name(),
-                outcome: slot.violation.map_or(Outcome::Serializable, Outcome::Violation),
-                report: slot.checker.report(),
+                name: checker.name(),
+                outcome: violation.map_or(Outcome::Serializable, Outcome::Violation),
+                report: checker.report(),
             };
-            (slot.index, run)
+            (index, run)
         })
         .collect()
 }
