@@ -19,7 +19,7 @@
 
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write as _};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -31,24 +31,20 @@ use aerodrome_suite::pipeline::multi::{self, MultiConfig};
 use aerodrome_suite::pipeline::par::{self, CheckerRun, ParConfig, SendChecker};
 use aerodrome_suite::pipeline::Pipeline;
 use tracelog::binfmt::{self, AnySource, DEFAULT_CHUNK_EVENTS};
-use tracelog::stream::{copy_events, EventBatch, EventSource, SourceNames, DEFAULT_BATCH_EVENTS};
+use tracelog::stream::{copy_events, EventBatch, EventSource, SourceNames};
 use tracelog::{MetaInfo, SourceError, Trace, Validator, ValiditySummary};
 use velodrome::{Config, VelodromeChecker};
 
-/// A parsed command line.
+/// A parsed command line. The flags each subcommand accepts, and their
+/// ranges, are declared once in [`COMMANDS`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
-    /// `rapid metainfo <trace.std> [--batch N]` —
-    /// trace statistics (Tables 1–2 columns 2–6).
+    /// `rapid metainfo` — trace statistics (Tables 1–2 columns 2–6).
     MetaInfo {
         /// Path of the trace log.
         path: String,
-        /// Events per ingest batch; `None` uses the default (~4096).
-        batch: Option<usize>,
     },
-    /// `rapid aerodrome <trace.std> [--algorithm basic|readopt|optimized]
-    /// [--batch N] [--no-validate]`
-    /// (alias: `rapid check`).
+    /// `rapid aerodrome` (alias: `rapid check`) — one AeroDrome variant.
     Aerodrome {
         /// Path of the trace log.
         path: String,
@@ -56,10 +52,8 @@ pub enum Command {
         algorithm: Algorithm,
         /// Run the streaming well-formedness pre-pass (default true).
         validate: bool,
-        /// Events per ingest batch; `None` uses the default (~4096).
-        batch: Option<usize>,
     },
-    /// `rapid velodrome <trace.std> [--no-gc] [--batch N] [--no-validate]`.
+    /// `rapid velodrome` — the Velodrome baseline.
     Velodrome {
         /// Path of the trace log.
         path: String,
@@ -67,42 +61,31 @@ pub enum Command {
         config: Config,
         /// Run the streaming well-formedness pre-pass (default true).
         validate: bool,
-        /// Events per ingest batch; `None` uses the default (~4096).
-        batch: Option<usize>,
     },
-    /// `rapid compare <trace> [--jobs N] [--batch N] [--no-validate]` —
-    /// one parse pass fanned out to every checker variant in parallel.
+    /// `rapid compare` — one parse pass fanned out to every checker
+    /// variant in parallel.
     Compare {
         /// Path of the trace log (`.std` or `.rbt`, sniffed by magic).
         path: String,
         /// Worker threads (`0` = one per available CPU).
         jobs: usize,
-        /// Events per batch; `None` uses the default (~4096).
-        batch: Option<usize>,
         /// Run the streaming well-formedness pre-pass (default true).
         validate: bool,
     },
-    /// `rapid validate <trace.std> [--batch N]` — the
-    /// streaming well-formedness check alone (exit 1 on the first
-    /// ill-formed event).
+    /// `rapid validate` — the streaming well-formedness check alone
+    /// (exit 1 on the first ill-formed event).
     Validate {
         /// Path of the trace log.
         path: String,
-        /// Events per ingest batch; `None` uses the default (~4096).
-        batch: Option<usize>,
     },
-    /// `rapid batch <dir|manifest|trace.std> [--jobs N] [--batch N]
-    /// [--checker NAME] [--seal-verify] [--no-validate]` — the resident
-    /// multi-trace runtime: every discovered trace checked through
-    /// reusable worker sessions.
+    /// `rapid batch` — the resident multi-trace runtime: every
+    /// discovered trace checked through reusable worker sessions.
     Batch {
         /// Corpus root: a directory (walked for `*.std`), a manifest
         /// file (one trace path per line) or a single trace log.
         path: String,
         /// Resident workers (`0` = one per available CPU).
         jobs: usize,
-        /// Events per ingest batch; `None` uses the default (~4096).
-        batch: Option<usize>,
         /// Which checkers each worker runs (default: the full panel).
         checker: CheckerChoice,
         /// Verify each trace's verdicts against its `.expect` sidecar;
@@ -112,19 +95,15 @@ pub enum Command {
         /// Run the streaming well-formedness pre-pass (default true).
         validate: bool,
     },
-    /// `rapid generate <out.std> [--events N] [--threads N] [--seed N]
-    /// [--violation-at F] [--retention] [--profile NAME] [--seal]
-    /// [--corpus N] [--batch N]` where NAME is a Table 1/2 row or one of
-    /// the shapes `convoy`/`fanout`/`nesting`. With `--corpus N` the
-    /// path is a directory receiving N varied traces plus a manifest.
+    /// `rapid generate` — one generated log, or with `--corpus N` a
+    /// directory of N varied traces plus a manifest.
     Generate {
         /// Output path (a directory with `--corpus`).
         path: String,
-        /// Generator configuration (defaults merged with the flags).
-        cfg: Box<workloads::GenConfig>,
         /// Profile name: a Table 1/2 row (its config is the base, with
         /// explicitly given flags applied on top) or a shape
-        /// (`convoy`/`fanout`/`nesting`, which read `cfg` directly).
+        /// (`convoy`/`fanout`/`nesting`, which read the flags applied to
+        /// the default config).
         profile: Option<String>,
         /// Which flags were given explicitly on the command line.
         overrides: GenOverrides,
@@ -136,16 +115,14 @@ pub enum Command {
         /// Emit a whole corpus of this many varied traces instead of one
         /// log (honours `--events` per trace and `--seed`).
         corpus: Option<usize>,
-        /// Events per ingest batch for the `--seal` re-read pass.
-        batch: Option<usize>,
         /// On-disk encoding of the written log(s) (`--out-format`).
         out_format: OutFormat,
     },
-    /// `rapid convert <in> <out> [--chunk-events N]` — transcode a trace
-    /// between the text `.std` and binary `.rbt` encodings. The input
-    /// encoding is sniffed by magic; the output encoding follows the
-    /// output path's extension (`.rbt` = binary, anything else = text).
-    /// `.std` → `.rbt` → `.std` round-trips byte-exactly.
+    /// `rapid convert` — transcode a trace between the text `.std` and
+    /// binary `.rbt` encodings. The input encoding is sniffed by magic;
+    /// the output encoding follows the output path's extension (`.rbt` =
+    /// binary, anything else = text). `.std` → `.rbt` → `.std`
+    /// round-trips byte-exactly.
     Convert {
         /// Input trace (either encoding).
         input: String,
@@ -155,9 +132,9 @@ pub enum Command {
         /// output.
         chunk_events: Option<u32>,
     },
-    /// `rapid benchdiff <baseline.json> <fresh.json> [--threshold PCT]`
-    /// — compare two `rapid-bench-v1` reports and fail (non-zero exit)
-    /// when any shared metric regresses beyond the noise threshold.
+    /// `rapid benchdiff` — compare two `rapid-bench-v1` reports and fail
+    /// (non-zero exit) when any shared metric regresses beyond the noise
+    /// threshold.
     BenchDiff {
         /// The checked-in last-known-good report.
         baseline: String,
@@ -167,44 +144,35 @@ pub enum Command {
         /// noise threshold of the scheduled CI runners).
         threshold: f64,
     },
-    /// `rapid table1 [--budget SECS]` / `rapid table2 [--budget SECS]`.
+    /// `rapid table1` / `rapid table2`.
     Table {
         /// 1 or 2.
         which: u8,
         /// Per-run wall-clock budget.
         budget: Duration,
     },
-    /// `rapid twophase <trace.std> [--phase-batch N] [--batch N]
-    /// [--no-validate]` — the DoubleChecker-style
-    /// imprecise-then-precise analysis. (`--batch` is the uniform
-    /// *ingest* batch; the phase-1 cycle-check period that used to be
-    /// called `--batch` is now `--phase-batch`.)
+    /// `rapid twophase` — the DoubleChecker-style imprecise-then-precise
+    /// analysis.
     TwoPhase {
         /// Path of the trace log.
         path: String,
         /// Phase-1 cycle-check batch size; `None` uses the documented
         /// [`Config::DEFAULT_TWOPHASE_BATCH`] default.
         phase_batch: Option<usize>,
-        /// Events per ingest batch; `None` uses the default (~4096).
-        batch: Option<usize>,
         /// Run the streaming well-formedness pre-pass (default true).
         validate: bool,
     },
-    /// `rapid causal <trace.std> [--batch N] [--no-validate]` —
-    /// per-transaction causal atomicity (oracle-based; quadratic, for
-    /// small traces).
+    /// `rapid causal` — per-transaction causal atomicity (oracle-based;
+    /// quadratic, for small traces).
     Causal {
         /// Path of the trace log.
         path: String,
         /// Run the streaming well-formedness pre-pass (default true).
         validate: bool,
-        /// Events per ingest batch; `None` uses the default (~4096).
-        batch: Option<usize>,
     },
-    /// `rapid explore <builtin|program> [--max-schedules N] [--samples N]
-    /// [--seed N] [--out DIR] [--jobs N]` — deterministic schedule
-    /// exploration of a thread program, every schedule refereed
-    /// differentially; violating schedules are minimised to reproducers.
+    /// `rapid explore` — deterministic schedule exploration of a thread
+    /// program, every schedule refereed differentially; violating
+    /// schedules are minimised to reproducers.
     Explore {
         /// Builtin scenario name (see `rapid help`) or path of a
         /// program file in the scenario DSL.
@@ -220,8 +188,7 @@ pub enum Command {
         /// Worker threads for the sealing pass (`0` = auto).
         jobs: usize,
     },
-    /// `rapid fuzz <trace.std> [--mutants N] [--seed N] [--out DIR]
-    /// [--jobs N]` — seeded trace-mutation differential fuzzing: every
+    /// `rapid fuzz` — seeded trace-mutation differential fuzzing: every
     /// well-formed mutant must keep the whole checker panel (pooled,
     /// cloned twins, Velodrome, oracle) in agreement.
     Fuzz {
@@ -236,21 +203,17 @@ pub enum Command {
         /// Worker threads for the sealing pass (`0` = auto).
         jobs: usize,
     },
-    /// `rapid serve [--addr HOST:PORT] [--jobs N] [--batch N]
-    /// [--max-retained-bytes B] [--no-validate]` — the long-lived
-    /// checking service: each TCP connection is a live trace session
-    /// with verdicts pushed mid-stream.
+    /// `rapid serve` — the long-lived checking service: each TCP
+    /// connection is a live trace session with verdicts pushed
+    /// mid-stream.
     Serve {
         /// Bind address (default `127.0.0.1:7447`; port 0 = ephemeral).
         addr: String,
         /// Server configuration assembled from the flags.
         config: serve::ServeConfig,
     },
-    /// `rapid loadgen [--addr HOST:PORT] [--connections N]
-    /// [--events-per-sec R] [--shape convoy|fanout|nesting]
-    /// [--events N] [--traces N] [--seed N] [--batch N]
-    /// [--bench-json PATH]` — the closed-loop load generator for a
-    /// running `rapid serve`.
+    /// `rapid loadgen` — the closed-loop load generator for a running
+    /// `rapid serve`.
     Loadgen {
         /// Load parameters assembled from the flags.
         config: Box<serve::LoadConfig>,
@@ -293,6 +256,19 @@ pub enum Algorithm {
     /// Algorithm 3 (default; the variant the paper evaluates).
     #[default]
     Optimized,
+}
+
+impl Algorithm {
+    /// Parses an `--algorithm` value.
+    #[must_use]
+    pub fn parse(name: &str) -> Option<Self> {
+        match name {
+            "basic" => Some(Self::Basic),
+            "readopt" => Some(Self::ReadOpt),
+            "optimized" => Some(Self::Optimized),
+            _ => None,
+        }
+    }
 }
 
 /// Which checkers a `rapid batch` worker session runs per trace.
@@ -390,46 +366,546 @@ impl GenOverrides {
     }
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-rapid — atomicity checking on trace logs (AeroDrome reproduction)
+/// Errors from command-line parsing.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UsageError(pub String);
 
-USAGE:
-    rapid metainfo  <trace.std> [--batch N]
-    rapid aerodrome <trace.std> [--algorithm basic|readopt|optimized]
-                    [--batch N] [--no-validate]   (alias: rapid check)
-    rapid velodrome <trace.std> [--no-gc] [--batch N] [--no-validate]
-    rapid compare   <trace.std> [--jobs N] [--batch N] [--no-validate]
-    rapid batch     <dir|manifest|trace.std> [--jobs N] [--batch N]
-                    [--checker all|basic|readopt|optimized|velodrome]
-                    [--seal-verify] [--no-validate]
-    rapid validate  <trace.std> [--batch N]
-    rapid convert   <in> <out> [--chunk-events N]
-    rapid benchdiff <baseline.json> <fresh.json> [--threshold PCT]
-    rapid generate  <out.std> [--profile NAME|convoy|fanout|nesting]
-                    [--events N]
-                    [--threads N] [--vars N] [--locks N] [--seed N]
-                    [--violation-at F] [--retention]
-                    [--seal] [--jobs N] [--batch N] [--out-format std|rbt]
-    rapid generate  <dir> --corpus N [--events N] [--seed N]
-                    [--seal] [--jobs N] [--out-format std|rbt]
-    rapid table1    [--budget SECS]
-    rapid table2    [--budget SECS]
-    rapid twophase  <trace.std> [--phase-batch N] [--batch N]
-                    [--no-validate]         (default phase batch: 256)
-    rapid causal    <trace.std> [--batch N] [--no-validate]
-    rapid explore   <builtin|program> [--max-schedules N] [--samples N]
-                    [--seed N] [--out DIR] [--jobs N]
-    rapid fuzz      <trace.std> [--mutants N] [--seed N] [--out DIR]
-                    [--jobs N]
-    rapid serve     [--addr HOST:PORT] [--jobs N] [--batch N]
-                    [--max-retained-bytes B] [--no-validate]
-    rapid loadgen   [--addr HOST:PORT] [--connections N]
-                    [--events-per-sec R] [--shape convoy|fanout|nesting]
-                    [--events N] [--traces N] [--seed N] [--batch N]
-                    [--bench-json PATH]
-    rapid help
+impl std::fmt::Display for UsageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.0)
+    }
+}
 
+impl std::error::Error for UsageError {}
+
+/// How a flag's value is read and range-checked. Each kind's check and
+/// its error message are written once, for every flag of that kind.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Kind {
+    /// Present or absent; takes no value.
+    Switch,
+    /// A positive integer: `0` is rejected.
+    Count,
+    /// A non-negative integer.
+    Number,
+    /// A finite real in `[0, max]`; `max` may be infinite.
+    Real(f64),
+    /// Free text.
+    Text,
+    /// One of a fixed set of names.
+    Choice(&'static [&'static str]),
+}
+
+/// A flag value that passed its [`Kind`]'s check.
+#[derive(Clone, Copy, Debug)]
+enum Value<'a> {
+    Switch,
+    Int(usize),
+    Real(f64),
+    Text(&'a str),
+}
+
+impl Kind {
+    /// Reads `raw` as the value of `flag`, rejecting it when it is out of
+    /// the kind's range.
+    fn check<'a>(self, flag: &str, raw: &'a str) -> Result<Value<'a>, UsageError> {
+        let invalid = |e: &dyn std::fmt::Display| UsageError(format!("{flag}: {e}"));
+        match self {
+            Self::Switch => Ok(Value::Switch),
+            Self::Count | Self::Number => {
+                let n: usize = raw.parse().map_err(|e| invalid(&e))?;
+                if n == 0 && self == Self::Count {
+                    // An omitted `--jobs` means one worker per CPU; an
+                    // explicit 0 contradicts that rather than selecting it.
+                    let hint = if flag == "--jobs" {
+                        " (omit the flag for one worker per CPU)"
+                    } else {
+                        ""
+                    };
+                    return Err(UsageError(format!("{flag} must be positive{hint}")));
+                }
+                Ok(Value::Int(n))
+            }
+            Self::Real(max) => {
+                let x: f64 = raw.parse().map_err(|e| invalid(&e))?;
+                if !(x.is_finite() && (0.0..=max).contains(&x)) {
+                    let range =
+                        if max.is_finite() { format!("in [0, {max}]") } else { "≥ 0".to_owned() };
+                    return Err(UsageError(format!("{flag} must be a finite number {range}")));
+                }
+                Ok(Value::Real(x))
+            }
+            Self::Text => Ok(Value::Text(raw)),
+            Self::Choice(names) if names.contains(&raw) => Ok(Value::Text(raw)),
+            Self::Choice(_) => {
+                Err(UsageError(format!("unknown {} `{raw}`", flag.trim_start_matches('-'))))
+            }
+        }
+    }
+}
+
+/// One flag of a subcommand.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Flag {
+    /// The flag as typed, e.g. `--jobs`.
+    pub name: &'static str,
+    /// How its value is read and checked.
+    pub kind: Kind,
+    /// The value's placeholder in the usage synopsis (choices list their
+    /// names instead).
+    pub meta: &'static str,
+}
+
+impl Flag {
+    const fn new(name: &'static str, kind: Kind, meta: &'static str) -> Self {
+        Self { name, kind, meta }
+    }
+
+    /// The flag as the usage synopsis shows it.
+    fn synopsis(&self) -> String {
+        match self.kind {
+            Kind::Switch => format!("[{}]", self.name),
+            Kind::Choice(names) => format!("[{} {}]", self.name, names.join("|")),
+            _ => format!("[{} {}]", self.name, self.meta),
+        }
+    }
+}
+
+/// One subcommand: the names it is invoked by, its positional arguments,
+/// its flags, and how they become a [`Command`]. [`parse_args`], the
+/// synopsis of [`usage`] and the rejection tests all read [`COMMANDS`].
+#[derive(Clone, Copy, Debug)]
+pub struct Spec {
+    /// Names it is invoked by (`check` is an alias of `aerodrome`;
+    /// `table1`/`table2` pick the table).
+    pub names: &'static [&'static str],
+    /// Positional arguments in order, each as (synopsis placeholder,
+    /// what the error names when it is missing).
+    pub args: &'static [(&'static str, &'static str)],
+    /// The flags it accepts.
+    pub flags: &'static [Flag],
+    /// Builds the command from the checked arguments, applying the rules
+    /// that span several flags.
+    build: fn(&Matches<'_>) -> Result<Command, UsageError>,
+}
+
+/// A command line checked against its [`Spec`].
+struct Matches<'a> {
+    /// The name the subcommand was invoked by.
+    name: &'a str,
+    /// Its positional arguments, as many as the spec declares.
+    args: &'a [String],
+    /// The flags given, in command-line order.
+    flags: Vec<(&'static str, Value<'a>)>,
+}
+
+impl<'a> Matches<'a> {
+    fn arg(&self, i: usize) -> String {
+        self.args[i].clone()
+    }
+
+    /// The value of `flag`; when given twice, the last one wins.
+    fn value(&self, flag: &str) -> Option<Value<'a>> {
+        self.flags.iter().rev().find(|(name, _)| *name == flag).map(|&(_, value)| value)
+    }
+
+    fn on(&self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+
+    fn int(&self, flag: &str) -> Option<usize> {
+        match self.value(flag)? {
+            Value::Int(n) => Some(n),
+            _ => None,
+        }
+    }
+
+    fn real(&self, flag: &str) -> Option<f64> {
+        match self.value(flag)? {
+            Value::Real(x) => Some(x),
+            _ => None,
+        }
+    }
+
+    fn text(&self, flag: &str) -> Option<&'a str> {
+        match self.value(flag)? {
+            Value::Text(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn jobs(&self) -> usize {
+        self.int("--jobs").unwrap_or(0)
+    }
+
+    fn validate(&self) -> bool {
+        !self.on("--no-validate")
+    }
+}
+
+const TRACE: (&str, &str) = ("<trace.std>", "a trace path");
+const JOBS: Flag = Flag::new("--jobs", Kind::Count, "N");
+const SEED: Flag = Flag::new("--seed", Kind::Number, "N");
+const OUT: Flag = Flag::new("--out", Kind::Text, "DIR");
+const ADDR: Flag = Flag::new("--addr", Kind::Text, "HOST:PORT");
+const NO_VALIDATE: Flag = Flag::new("--no-validate", Kind::Switch, "");
+const DEFAULT_ADDR: &str = "127.0.0.1:7447";
+
+/// Every subcommand of `rapid` except `help`, in usage order.
+pub const COMMANDS: &[Spec] = &[
+    Spec {
+        names: &["metainfo"],
+        args: &[TRACE],
+        flags: &[],
+        build: |m| Ok(Command::MetaInfo { path: m.arg(0) }),
+    },
+    Spec {
+        names: &["aerodrome", "check"],
+        args: &[TRACE],
+        flags: &[
+            Flag::new("--algorithm", Kind::Choice(&["basic", "readopt", "optimized"]), ""),
+            NO_VALIDATE,
+        ],
+        build: |m| {
+            Ok(Command::Aerodrome {
+                path: m.arg(0),
+                algorithm: m.text("--algorithm").and_then(Algorithm::parse).unwrap_or_default(),
+                validate: m.validate(),
+            })
+        },
+    },
+    Spec {
+        names: &["velodrome"],
+        args: &[TRACE],
+        flags: &[Flag::new("--no-gc", Kind::Switch, ""), NO_VALIDATE],
+        build: |m| {
+            Ok(Command::Velodrome {
+                path: m.arg(0),
+                config: Config { gc: !m.on("--no-gc"), ..Config::default() },
+                validate: m.validate(),
+            })
+        },
+    },
+    Spec {
+        names: &["compare"],
+        args: &[TRACE],
+        flags: &[JOBS, NO_VALIDATE],
+        build: |m| Ok(Command::Compare { path: m.arg(0), jobs: m.jobs(), validate: m.validate() }),
+    },
+    Spec {
+        names: &["batch"],
+        args: &[("<dir|manifest|trace.std>", "a corpus path (directory, manifest or trace)")],
+        flags: &[
+            JOBS,
+            Flag::new(
+                "--checker",
+                Kind::Choice(&["all", "basic", "readopt", "optimized", "aerodrome", "velodrome"]),
+                "",
+            ),
+            Flag::new("--seal-verify", Kind::Switch, ""),
+            NO_VALIDATE,
+        ],
+        build: |m| {
+            let checker = m.text("--checker").and_then(CheckerChoice::parse).unwrap_or_default();
+            let seal_verify = m.on("--seal-verify");
+            if seal_verify && checker != CheckerChoice::All {
+                return Err(UsageError(
+                    "--seal-verify needs the sealed panel: drop --checker (or use --checker all)"
+                        .into(),
+                ));
+            }
+            Ok(Command::Batch {
+                path: m.arg(0),
+                jobs: m.jobs(),
+                checker,
+                seal_verify,
+                validate: m.validate(),
+            })
+        },
+    },
+    Spec {
+        names: &["validate"],
+        args: &[TRACE],
+        flags: &[],
+        build: |m| Ok(Command::Validate { path: m.arg(0) }),
+    },
+    Spec {
+        names: &["convert"],
+        args: &[("<in>", "an input trace path"), ("<out>", "an output path")],
+        flags: &[Flag::new("--chunk-events", Kind::Count, "N")],
+        build: |m| {
+            let chunk_events = m
+                .int("--chunk-events")
+                .map(u32::try_from)
+                .transpose()
+                .map_err(|e| UsageError(format!("--chunk-events: {e}")))?;
+            Ok(Command::Convert { input: m.arg(0), output: m.arg(1), chunk_events })
+        },
+    },
+    Spec {
+        names: &["benchdiff"],
+        args: &[
+            ("<baseline.json>", "a baseline report path"),
+            ("<fresh.json>", "a fresh report path"),
+        ],
+        flags: &[Flag::new("--threshold", Kind::Real(f64::INFINITY), "PCT")],
+        build: |m| {
+            Ok(Command::BenchDiff {
+                baseline: m.arg(0),
+                fresh: m.arg(1),
+                threshold: m.real("--threshold").unwrap_or(20.0),
+            })
+        },
+    },
+    Spec {
+        names: &["generate"],
+        args: &[("<out.std>", "an output path")],
+        flags: &[
+            Flag::new("--profile", Kind::Text, "NAME|convoy|fanout|nesting"),
+            Flag::new("--events", Kind::Count, "N"),
+            Flag::new("--threads", Kind::Count, "N"),
+            Flag::new("--vars", Kind::Number, "N"),
+            Flag::new("--locks", Kind::Count, "N"),
+            SEED,
+            Flag::new("--violation-at", Kind::Real(1.0), "F"),
+            Flag::new("--retention", Kind::Switch, ""),
+            Flag::new("--seal", Kind::Switch, ""),
+            JOBS,
+            Flag::new("--corpus", Kind::Count, "N"),
+            Flag::new("--out-format", Kind::Choice(&["std", "rbt"]), ""),
+        ],
+        build: build_generate,
+    },
+    Spec {
+        names: &["table1", "table2"],
+        args: &[],
+        flags: &[Flag::new("--budget", Kind::Count, "SECS")],
+        build: |m| {
+            Ok(Command::Table {
+                which: if m.name == "table1" { 1 } else { 2 },
+                budget: Duration::from_secs(m.int("--budget").unwrap_or(5) as u64),
+            })
+        },
+    },
+    Spec {
+        names: &["twophase"],
+        args: &[TRACE],
+        flags: &[Flag::new("--phase-batch", Kind::Count, "N"), NO_VALIDATE],
+        build: |m| {
+            Ok(Command::TwoPhase {
+                path: m.arg(0),
+                phase_batch: m.int("--phase-batch"),
+                validate: m.validate(),
+            })
+        },
+    },
+    Spec {
+        names: &["causal"],
+        args: &[TRACE],
+        flags: &[NO_VALIDATE],
+        build: |m| Ok(Command::Causal { path: m.arg(0), validate: m.validate() }),
+    },
+    Spec {
+        names: &["explore"],
+        args: &[("<builtin|program>", "a builtin name or program file")],
+        flags: &[
+            Flag::new("--max-schedules", Kind::Count, "N"),
+            Flag::new("--samples", Kind::Number, "N"),
+            SEED,
+            OUT,
+            JOBS,
+        ],
+        build: |m| {
+            Ok(Command::Explore {
+                program: m.arg(0),
+                max_schedules: m.int("--max-schedules").unwrap_or(1_000),
+                samples: m.int("--samples").unwrap_or(256),
+                seed: m.int("--seed").unwrap_or(0) as u64,
+                out: m.text("--out").map(str::to_owned),
+                jobs: m.jobs(),
+            })
+        },
+    },
+    Spec {
+        names: &["fuzz"],
+        args: &[TRACE],
+        flags: &[Flag::new("--mutants", Kind::Count, "N"), SEED, OUT, JOBS],
+        build: |m| {
+            Ok(Command::Fuzz {
+                path: m.arg(0),
+                mutants: m.int("--mutants").unwrap_or(1_000),
+                seed: m.int("--seed").unwrap_or(0) as u64,
+                out: m.text("--out").map(str::to_owned),
+                jobs: m.jobs(),
+            })
+        },
+    },
+    Spec {
+        names: &["serve"],
+        args: &[],
+        flags: &[
+            ADDR,
+            JOBS,
+            // 0 is meaningful here: it disables eviction.
+            Flag::new("--max-retained-bytes", Kind::Number, "B"),
+            NO_VALIDATE,
+        ],
+        build: |m| {
+            let defaults = serve::ServeConfig::default();
+            Ok(Command::Serve {
+                addr: m.text("--addr").unwrap_or(DEFAULT_ADDR).to_owned(),
+                config: serve::ServeConfig {
+                    jobs: m.jobs(),
+                    validate: m.validate(),
+                    max_retained_bytes: m
+                        .int("--max-retained-bytes")
+                        .map_or(defaults.max_retained_bytes, |b| b as u64),
+                },
+            })
+        },
+    },
+    Spec {
+        names: &["loadgen"],
+        args: &[],
+        flags: &[
+            ADDR,
+            Flag::new("--connections", Kind::Count, "N"),
+            Flag::new("--events-per-sec", Kind::Real(f64::INFINITY), "R"),
+            Flag::new("--shape", Kind::Text, "convoy|fanout|nesting"),
+            Flag::new("--events", Kind::Count, "N"),
+            Flag::new("--traces", Kind::Count, "N"),
+            SEED,
+            Flag::new("--batch", Kind::Count, "N"),
+            Flag::new("--bench-json", Kind::Text, "PATH"),
+        ],
+        build: build_loadgen,
+    },
+];
+
+fn build_generate(m: &Matches<'_>) -> Result<Command, UsageError> {
+    let corpus = m.int("--corpus");
+    if corpus.is_some() {
+        // The corpus generator varies shapes and knobs itself.
+        for flag in ["--profile", "--threads", "--vars", "--locks", "--violation-at", "--retention"]
+        {
+            if m.on(flag) {
+                return Err(UsageError(format!("{flag} cannot be combined with --corpus")));
+            }
+        }
+    }
+    Ok(Command::Generate {
+        path: m.arg(0),
+        profile: m.text("--profile").map(str::to_owned),
+        overrides: GenOverrides {
+            events: m.int("--events"),
+            threads: m.int("--threads"),
+            vars: m.int("--vars"),
+            locks: m.int("--locks"),
+            seed: m.int("--seed").map(|s| s as u64),
+            violation_at: m.real("--violation-at"),
+            retention: m.on("--retention"),
+        },
+        seal: m.on("--seal"),
+        jobs: m.jobs(),
+        corpus,
+        out_format: m.text("--out-format").and_then(OutFormat::parse).unwrap_or_default(),
+    })
+}
+
+fn build_loadgen(m: &Matches<'_>) -> Result<Command, UsageError> {
+    let defaults = serve::LoadConfig::default();
+    let config = serve::LoadConfig {
+        addr: m.text("--addr").unwrap_or(DEFAULT_ADDR).to_owned(),
+        connections: m.int("--connections").unwrap_or(defaults.connections),
+        events_per_sec: m.real("--events-per-sec").unwrap_or(defaults.events_per_sec),
+        shape: m.text("--shape").map_or(defaults.shape, str::to_owned),
+        events_per_trace: m.int("--events").unwrap_or(defaults.events_per_trace),
+        traces_per_connection: m.int("--traces").unwrap_or(defaults.traces_per_connection),
+        batch_events: m.int("--batch").unwrap_or(defaults.batch_events),
+        seed: m.int("--seed").map_or(defaults.seed, |s| s as u64),
+    };
+    Ok(Command::Loadgen {
+        config: Box::new(config),
+        bench_json: m.text("--bench-json").map(str::to_owned),
+    })
+}
+
+/// Parses `args` (without the program name) against [`COMMANDS`].
+///
+/// # Errors
+///
+/// Returns a [`UsageError`] naming the unknown command or flag, the
+/// missing argument or value, or the value out of its flag's range.
+pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
+    let Some(name) = args.first().map(String::as_str) else {
+        return Ok(Command::Help);
+    };
+    if matches!(name, "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
+    let spec = COMMANDS
+        .iter()
+        .find(|spec| spec.names.contains(&name))
+        .ok_or_else(|| UsageError(format!("unknown command `{name}` (try `rapid help`)")))?;
+    // Positional arguments come first, taken by position alone.
+    if let Some((_, what)) = spec.args.get(args.len() - 1) {
+        return Err(UsageError(format!("{name} requires {what}")));
+    }
+    let mut i = 1 + spec.args.len();
+    let mut m = Matches { name, args: &args[1..i], flags: Vec::new() };
+    while i < args.len() {
+        let arg = args[i].as_str();
+        let flag = spec
+            .flags
+            .iter()
+            .find(|flag| flag.name == arg)
+            .ok_or_else(|| UsageError(format!("unknown flag `{arg}`")))?;
+        let value = match flag.kind {
+            Kind::Switch => Value::Switch,
+            kind => {
+                i += 1;
+                let raw = args
+                    .get(i)
+                    .ok_or_else(|| UsageError(format!("{} requires a value", flag.name)))?;
+                kind.check(flag.name, raw)?
+            }
+        };
+        m.flags.push((flag.name, value));
+        i += 1;
+    }
+    (spec.build)(&m)
+}
+
+/// Width the usage synopsis wraps at.
+const USAGE_WIDTH: usize = 78;
+
+/// The usage text: a synopsis rendered from [`COMMANDS`], then notes.
+#[must_use]
+pub fn usage() -> String {
+    let mut out = String::from(
+        "rapid — atomicity checking on trace logs (AeroDrome reproduction)\n\nUSAGE:\n",
+    );
+    let indent = " ".repeat("    rapid ".len() + 9);
+    for spec in COMMANDS {
+        let mut line = format!("    rapid {:<9}", spec.names.join("|"));
+        let args = spec.args.iter().map(|&(meta, _)| meta.to_owned());
+        for word in args.chain(spec.flags.iter().map(Flag::synopsis)) {
+            if line.len() + 1 + word.len() > USAGE_WIDTH {
+                let _ = writeln!(out, "{line}");
+                line.clone_from(&indent);
+            }
+            line.push(' ');
+            line.push_str(&word);
+        }
+        let _ = writeln!(out, "{line}");
+    }
+    out.push_str("    rapid help\n\n");
+    out.push_str(USAGE_NOTES);
+    out
+}
+
+/// The notes that follow the synopsis in [`usage`].
+const USAGE_NOTES: &str = "\
 Trace logs use the RAPID .std format: `<thread>|<op>|<loc>` per line with
 op ∈ r(x) w(x) acq(l) rel(l) fork(t) join(t) begin end — or the compact
 binary .rbt format (docs/TRACE_FORMAT.md): fixed-width 9-byte records
@@ -443,17 +919,13 @@ sidecars record identical text for both encodings of a trace.
 JSON reports metric by metric (higher-better *_per_sec, lower-better
 wall_s/*_ms) and exits non-zero past `--threshold` percent regression.
 
-`--batch N` is uniform across every event-ingesting subcommand: events
-pulled per parser refill (default ~4096). It never changes verdicts,
-only call granularity. (`twophase`'s phase-1 cycle-check period, which
-this flag used to name, is now `--phase-batch`.)
-
 Checker analyses (aerodrome/check, velodrome, compare, batch, twophase,
 causal) stream the log through an incremental parser and, by default,
 the Section 2 well-formedness validator (`--no-validate` skips it);
 `metainfo` is pure statistics and never validates. aerodrome/check,
 velodrome, compare and batch run in constant memory regardless of trace
-size; twophase and causal replay and so hold the whole trace in memory.
+size; twophase and causal replay and so hold the whole trace in memory
+(`--phase-batch` is twophase's phase-1 cycle-check period, default 256).
 `compare` parses the log ONCE and fans the events out to all three
 AeroDrome variants plus Velodrome on `--jobs` worker threads (default:
 one per CPU), printing a per-checker verdict table. `batch` checks a
@@ -471,7 +943,8 @@ flags they cannot honour); `--seal` re-reads the written log and
 records every checker's verdict in an `<out>.std.expect` sidecar for
 use as a persisted reference log. `generate <dir> --corpus N` writes N
 varied traces (generator + all shapes, violations injected into some)
-plus a manifest.txt — the input `rapid batch` expects.
+plus a manifest.txt — the input `rapid batch` expects; it takes only
+`--events`, `--seed`, `--seal`, `--jobs` and `--out-format`.
 
 `explore` enumerates the interleavings of a small thread program with a
 deterministic cooperative scheduler — exhaustively with sleep-set
@@ -501,507 +974,16 @@ check` on the same events. `--jobs` bounds the resident workers,
 eviction; 0 disables). `loadgen` is its closed-loop benchmark driver:
 `--connections` concurrent sessions each stream `--traces` traces of
 `--events` events (shape `convoy|fanout|nesting`; every 4th trace
-carries an injected violation so pushes are exercised), optionally
-paced at `--events-per-sec` per connection, reporting throughput and
-p50/p99 verdict latency; `--bench-json` writes the `rapid-bench-v1`
-report (the BENCH_serve.json schema).
+carries an injected violation so pushes are exercised), sent `--batch`
+events per EVENTS frame and optionally paced at `--events-per-sec` per
+connection, reporting throughput and p50/p99 verdict latency;
+`--bench-json` writes the `rapid-bench-v1` report (the
+BENCH_serve.json schema).
 
 `--jobs N` is uniform across every parallel subcommand: worker threads,
 defaulting to one per available CPU when omitted; an explicit `--jobs
-0` is rejected.";
-
-/// Errors from command-line parsing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UsageError(pub String);
-
-impl std::fmt::Display for UsageError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for UsageError {}
-
-fn flag_value<'a>(args: &'a [String], i: &mut usize, name: &str) -> Result<&'a str, UsageError> {
-    *i += 1;
-    args.get(*i).map(String::as_str).ok_or_else(|| UsageError(format!("{name} requires a value")))
-}
-
-/// Parses a flag's numeric value (`--flag N`).
-fn num_flag<T: std::str::FromStr>(
-    args: &[String],
-    i: &mut usize,
-    name: &str,
-) -> Result<T, UsageError>
-where
-    T::Err: std::fmt::Display,
-{
-    flag_value(args, i, name)?.parse().map_err(|e| UsageError(format!("{name}: {e}")))
-}
-
-/// The **uniform** `--batch <events>` flag: events per ingest batch,
-/// shared by every subcommand that ingests events (one parser, one
-/// default — [`tracelog::stream::DEFAULT_BATCH_EVENTS`] when absent).
-fn batch_flag(args: &[String], i: &mut usize) -> Result<usize, UsageError> {
-    positive_flag(args, i, "--batch")
-}
-
-/// The **uniform** `--jobs <workers>` flag: worker threads, shared by
-/// every parallel subcommand. Omitting the flag means one worker per
-/// available CPU (`0` internally); an *explicit* `--jobs 0` is a
-/// contradiction and is rejected rather than silently remapped.
-fn jobs_flag(args: &[String], i: &mut usize) -> Result<usize, UsageError> {
-    let n: usize = num_flag(args, i, "--jobs")?;
-    if n == 0 {
-        return Err(UsageError(
-            "--jobs must be positive (omit the flag for one worker per CPU)".into(),
-        ));
-    }
-    Ok(n)
-}
-
-/// Parses a flag that takes a positive count (`--flag N`, `N ≥ 1`).
-fn positive_flag(args: &[String], i: &mut usize, name: &str) -> Result<usize, UsageError> {
-    let n: usize = num_flag(args, i, name)?;
-    if n == 0 {
-        return Err(UsageError(format!("{name} must be positive")));
-    }
-    Ok(n)
-}
-
-/// Parses `args` (without the program name).
-pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
-    let Some(cmd) = args.first() else {
-        return Ok(Command::Help);
-    };
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "metainfo" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| UsageError("metainfo requires a trace path".into()))?
-                .clone();
-            let mut batch = None;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::MetaInfo { path, batch })
-        }
-        "aerodrome" | "check" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| UsageError(format!("{cmd} requires a trace path")))?
-                .clone();
-            let mut algorithm = Algorithm::default();
-            let mut validate = true;
-            let mut batch = None;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--algorithm" => {
-                        algorithm = match flag_value(args, &mut i, "--algorithm")? {
-                            "basic" => Algorithm::Basic,
-                            "readopt" => Algorithm::ReadOpt,
-                            "optimized" => Algorithm::Optimized,
-                            other => {
-                                return Err(UsageError(format!("unknown algorithm `{other}`")))
-                            }
-                        };
-                    }
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--no-validate" => validate = false,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Aerodrome { path, algorithm, validate, batch })
-        }
-        "velodrome" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| UsageError("velodrome requires a trace path".into()))?
-                .clone();
-            let mut config = Config::default();
-            let mut validate = true;
-            let mut batch = None;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--no-gc" => config.gc = false,
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--no-validate" => validate = false,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Velodrome { path, config, validate, batch })
-        }
-        "compare" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| UsageError("compare requires a trace path".into()))?
-                .clone();
-            let mut jobs = 0usize;
-            let mut batch = None;
-            let mut validate = true;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--jobs" => jobs = jobs_flag(args, &mut i)?,
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--no-validate" => validate = false,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Compare { path, jobs, batch, validate })
-        }
-        "convert" => {
-            let input = args
-                .get(1)
-                .ok_or_else(|| UsageError("convert requires an input trace path".into()))?
-                .clone();
-            let output = args
-                .get(2)
-                .ok_or_else(|| UsageError("convert requires an output path".into()))?
-                .clone();
-            let mut chunk_events = None;
-            let mut i = 3;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--chunk-events" => {
-                        let n: u32 = num_flag(args, &mut i, "--chunk-events")?;
-                        if n == 0 {
-                            return Err(UsageError("--chunk-events must be positive".into()));
-                        }
-                        chunk_events = Some(n);
-                    }
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Convert { input, output, chunk_events })
-        }
-        "benchdiff" => {
-            let baseline = args
-                .get(1)
-                .ok_or_else(|| UsageError("benchdiff requires a baseline report path".into()))?
-                .clone();
-            let fresh = args
-                .get(2)
-                .ok_or_else(|| UsageError("benchdiff requires a fresh report path".into()))?
-                .clone();
-            let mut threshold = 20.0f64;
-            let mut i = 3;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--threshold" => {
-                        let t: f64 = num_flag(args, &mut i, "--threshold")?;
-                        if !t.is_finite() || t < 0.0 {
-                            return Err(UsageError(
-                                "--threshold must be a finite non-negative percentage".into(),
-                            ));
-                        }
-                        threshold = t;
-                    }
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::BenchDiff { baseline, fresh, threshold })
-        }
-        "validate" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| UsageError("validate requires a trace path".into()))?
-                .clone();
-            let mut batch = None;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Validate { path, batch })
-        }
-        "batch" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| {
-                    UsageError("batch requires a corpus path (directory, manifest or trace)".into())
-                })?
-                .clone();
-            let mut jobs = 0usize;
-            let mut batch = None;
-            let mut checker = CheckerChoice::default();
-            let mut seal_verify = false;
-            let mut validate = true;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--jobs" => jobs = jobs_flag(args, &mut i)?,
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--checker" => {
-                        let name = flag_value(args, &mut i, "--checker")?;
-                        checker = CheckerChoice::parse(name)
-                            .ok_or_else(|| UsageError(format!("unknown checker `{name}`")))?;
-                    }
-                    "--seal-verify" => seal_verify = true,
-                    "--no-validate" => validate = false,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            if seal_verify && checker != CheckerChoice::All {
-                return Err(UsageError(
-                    "--seal-verify needs the sealed panel: drop --checker (or use --checker all)"
-                        .into(),
-                ));
-            }
-            Ok(Command::Batch { path, jobs, batch, checker, seal_verify, validate })
-        }
-        "generate" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| UsageError("generate requires an output path".into()))?
-                .clone();
-            let mut overrides = GenOverrides::default();
-            let mut profile = None;
-            let mut seal = false;
-            let mut jobs = 0usize;
-            let mut corpus = None;
-            let mut batch = None;
-            let mut out_format = OutFormat::default();
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--seal" => seal = true,
-                    "--jobs" => jobs = jobs_flag(args, &mut i)?,
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--corpus" => corpus = Some(positive_flag(args, &mut i, "--corpus")?),
-                    "--out-format" => {
-                        let name = flag_value(args, &mut i, "--out-format")?;
-                        out_format = OutFormat::parse(name)
-                            .ok_or_else(|| UsageError(format!("unknown out-format `{name}`")))?;
-                    }
-                    "--profile" => {
-                        profile = Some(flag_value(args, &mut i, "--profile")?.to_owned())
-                    }
-                    "--events" => overrides.events = Some(num_flag(args, &mut i, "--events")?),
-                    "--threads" => overrides.threads = Some(num_flag(args, &mut i, "--threads")?),
-                    "--vars" => overrides.vars = Some(num_flag(args, &mut i, "--vars")?),
-                    "--locks" => overrides.locks = Some(num_flag(args, &mut i, "--locks")?),
-                    "--seed" => overrides.seed = Some(num_flag(args, &mut i, "--seed")?),
-                    "--violation-at" => {
-                        overrides.violation_at = Some(num_flag(args, &mut i, "--violation-at")?);
-                    }
-                    "--retention" => overrides.retention = true,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            if corpus.is_some() {
-                // The corpus generator varies shapes and knobs itself.
-                for (given, flag) in [
-                    (profile.is_some(), "--profile"),
-                    (overrides.threads.is_some(), "--threads"),
-                    (overrides.vars.is_some(), "--vars"),
-                    (overrides.locks.is_some(), "--locks"),
-                    (overrides.violation_at.is_some(), "--violation-at"),
-                    (overrides.retention, "--retention"),
-                ] {
-                    if given {
-                        return Err(UsageError(format!("{flag} cannot be combined with --corpus")));
-                    }
-                }
-            }
-            let cfg = overrides.apply(workloads::GenConfig::default());
-            Ok(Command::Generate {
-                path,
-                cfg: Box::new(cfg),
-                profile,
-                overrides,
-                seal,
-                jobs,
-                corpus,
-                batch,
-                out_format,
-            })
-        }
-        "table1" | "table2" => {
-            let which = if cmd == "table1" { 1 } else { 2 };
-            let mut budget = Duration::from_secs(5);
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--budget" => {
-                        let secs = positive_flag(args, &mut i, "--budget")?;
-                        budget = Duration::from_secs(secs as u64);
-                    }
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Table { which, budget })
-        }
-        "twophase" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| UsageError("twophase requires a trace path".into()))?
-                .clone();
-            let mut phase_batch = None;
-            let mut batch = None;
-            let mut validate = true;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--phase-batch" => {
-                        phase_batch = Some(positive_flag(args, &mut i, "--phase-batch")?);
-                    }
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--no-validate" => validate = false,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::TwoPhase { path, phase_batch, batch, validate })
-        }
-        "causal" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| UsageError("causal requires a trace path".into()))?
-                .clone();
-            let mut validate = true;
-            let mut batch = None;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--no-validate" => validate = false,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Causal { path, validate, batch })
-        }
-        "explore" => {
-            let program = args
-                .get(1)
-                .ok_or_else(|| {
-                    UsageError("explore requires a builtin name or program file".into())
-                })?
-                .clone();
-            let mut max_schedules = 1_000usize;
-            let mut samples = 256usize;
-            let mut seed = 0u64;
-            let mut out = None;
-            let mut jobs = 0usize;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--max-schedules" => {
-                        max_schedules = positive_flag(args, &mut i, "--max-schedules")?;
-                    }
-                    "--samples" => samples = num_flag(args, &mut i, "--samples")?,
-                    "--seed" => seed = num_flag(args, &mut i, "--seed")?,
-                    "--out" => out = Some(flag_value(args, &mut i, "--out")?.to_owned()),
-                    "--jobs" => jobs = jobs_flag(args, &mut i)?,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Explore { program, max_schedules, samples, seed, out, jobs })
-        }
-        "fuzz" => {
-            let path =
-                args.get(1).ok_or_else(|| UsageError("fuzz requires a trace path".into()))?.clone();
-            let mut mutants = 1_000usize;
-            let mut seed = 0u64;
-            let mut out = None;
-            let mut jobs = 0usize;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--mutants" => mutants = positive_flag(args, &mut i, "--mutants")?,
-                    "--seed" => seed = num_flag(args, &mut i, "--seed")?,
-                    "--out" => out = Some(flag_value(args, &mut i, "--out")?.to_owned()),
-                    "--jobs" => jobs = jobs_flag(args, &mut i)?,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Fuzz { path, mutants, seed, out, jobs })
-        }
-        "serve" => {
-            let mut addr = "127.0.0.1:7447".to_owned();
-            let mut config = serve::ServeConfig::default();
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--addr" => addr = flag_value(args, &mut i, "--addr")?.to_owned(),
-                    "--jobs" => config.jobs = jobs_flag(args, &mut i)?,
-                    "--batch" => config.batch_events = batch_flag(args, &mut i)?,
-                    "--max-retained-bytes" => {
-                        // 0 is meaningful here: it disables eviction.
-                        config.max_retained_bytes = num_flag(args, &mut i, "--max-retained-bytes")?;
-                    }
-                    "--no-validate" => config.validate = false,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Serve { addr, config })
-        }
-        "loadgen" => {
-            let mut config =
-                serve::LoadConfig { addr: "127.0.0.1:7447".to_owned(), ..Default::default() };
-            let mut bench_json = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--addr" => config.addr = flag_value(args, &mut i, "--addr")?.to_owned(),
-                    "--connections" => {
-                        config.connections = positive_flag(args, &mut i, "--connections")?;
-                    }
-                    "--events-per-sec" => {
-                        let rate: f64 = num_flag(args, &mut i, "--events-per-sec")?;
-                        if !rate.is_finite() || rate < 0.0 {
-                            return Err(UsageError(
-                                "--events-per-sec must be finite and non-negative \
-                                 (0 = unpaced)"
-                                    .into(),
-                            ));
-                        }
-                        config.events_per_sec = rate;
-                    }
-                    "--shape" => config.shape = flag_value(args, &mut i, "--shape")?.to_owned(),
-                    "--events" => {
-                        config.events_per_trace = positive_flag(args, &mut i, "--events")?;
-                    }
-                    "--traces" => {
-                        config.traces_per_connection = positive_flag(args, &mut i, "--traces")?;
-                    }
-                    "--seed" => config.seed = num_flag(args, &mut i, "--seed")?,
-                    "--batch" => config.batch_events = batch_flag(args, &mut i)?,
-                    "--bench-json" => {
-                        bench_json = Some(flag_value(args, &mut i, "--bench-json")?.to_owned());
-                    }
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Loadgen { config: Box::new(config), bench_json })
-        }
-        other => Err(UsageError(format!("unknown command `{other}` (try `rapid help`)"))),
-    }
-}
+0` is rejected.
+";
 
 /// Opens a trace log as a streaming source, sniffing the on-disk
 /// encoding by file magic: the binary `.rbt` container opens the
@@ -1117,21 +1099,8 @@ pub fn seal_text(
 ///
 /// Propagates open/parse/validation failures as display strings.
 pub fn compute_seal(path: &str, jobs: usize) -> Result<String, String> {
-    compute_seal_with(path, jobs, None)
-}
-
-/// [`compute_seal`] with an explicit ingest batch size (the uniform
-/// `--batch` knob; `None` = default).
-///
-/// # Errors
-///
-/// Propagates open/parse/validation failures as display strings.
-pub fn compute_seal_with(path: &str, jobs: usize, batch: Option<usize>) -> Result<String, String> {
     let mut source = open_source(path)?;
-    let mut config = ParConfig::default().jobs(jobs);
-    if let Some(b) = batch {
-        config = config.batch_events(b);
-    }
+    let config = ParConfig::default().jobs(jobs);
     let report = par::check_all(&mut source, par::standard_checkers(), &config)
         .map_err(|e| source_err(path, &source, &e))?;
     let names = source.names();
@@ -1150,16 +1119,7 @@ pub fn compute_seal_with(path: &str, jobs: usize, batch: Option<usize>) -> Resul
 ///
 /// Propagates checking and write failures as display strings.
 pub fn write_seal(path: &str, jobs: usize) -> Result<String, String> {
-    write_seal_with(path, jobs, None)
-}
-
-/// [`write_seal`] with an explicit ingest batch size.
-///
-/// # Errors
-///
-/// Propagates checking and write failures as display strings.
-pub fn write_seal_with(path: &str, jobs: usize, batch: Option<usize>) -> Result<String, String> {
-    let text = compute_seal_with(path, jobs, batch)?;
+    let text = compute_seal(path, jobs)?;
     let sidecar = seal_sidecar_path(path);
     std::fs::write(&sidecar, &text).map_err(|e| format!("{sidecar}: {e}"))?;
     Ok(text)
@@ -1190,7 +1150,7 @@ fn resolve_program(arg: &str) -> Result<scenarios::Program, String> {
 fn write_sealed_std(dir: &str, file: &str, trace: &Trace, jobs: usize) -> Result<String, String> {
     let path = Path::new(dir).join(file).to_string_lossy().into_owned();
     std::fs::write(&path, tracelog::write_trace(trace)).map_err(|e| format!("{path}: {e}"))?;
-    write_seal_with(&path, jobs, None)?;
+    write_seal(&path, jobs)?;
     Ok(path)
 }
 
@@ -1215,19 +1175,16 @@ pub fn verify_seal(path: &str, jobs: usize) -> Result<(), String> {
 /// Executes a parsed command, returning the text to print.
 pub fn run(command: Command) -> Result<String, String> {
     match command {
-        Command::Help => Ok(USAGE.to_owned()),
-        Command::MetaInfo { path, batch } => {
+        Command::Help => Ok(usage()),
+        Command::MetaInfo { path } => {
             // Pure statistics, computed in one streaming (batched) pass.
             let mut source = open_source(&path)?;
             let info =
-                MetaInfo::collect_batched(&mut source, batch.unwrap_or(DEFAULT_BATCH_EVENTS))
-                    .map_err(|e| source_err(&path, &source, &e))?;
+                MetaInfo::collect(&mut source).map_err(|e| source_err(&path, &source, &e))?;
             Ok(info.to_string())
         }
-        Command::Aerodrome { path, algorithm, validate, batch } => {
-            let mut pipeline = Pipeline::new(open_source(&path)?)
-                .validate(validate)
-                .batch_events(batch.unwrap_or(DEFAULT_BATCH_EVENTS));
+        Command::Aerodrome { path, algorithm, validate } => {
+            let mut pipeline = Pipeline::new(open_source(&path)?).validate(validate);
             let (name, mut checker): (_, Box<dyn Checker>) = match algorithm {
                 Algorithm::Basic => ("aerodrome (Algorithm 1)", Box::new(BasicChecker::new())),
                 Algorithm::ReadOpt => ("aerodrome (Algorithm 2)", Box::new(ReadOptChecker::new())),
@@ -1258,10 +1215,8 @@ pub fn run(command: Command) -> Result<String, String> {
             );
             Ok(out)
         }
-        Command::Velodrome { path, config, validate, batch } => {
-            let mut pipeline = Pipeline::new(open_source(&path)?)
-                .validate(validate)
-                .batch_events(batch.unwrap_or(DEFAULT_BATCH_EVENTS));
+        Command::Velodrome { path, config, validate } => {
+            let mut pipeline = Pipeline::new(open_source(&path)?).validate(validate);
             let mut c = VelodromeChecker::with_config(config);
             let report =
                 pipeline.run(&mut c).map_err(|e| source_err(&path, pipeline.source(), &e))?;
@@ -1283,12 +1238,9 @@ pub fn run(command: Command) -> Result<String, String> {
             }
             Ok(out)
         }
-        Command::Compare { path, jobs, batch, validate } => {
+        Command::Compare { path, jobs, validate } => {
             let mut source = open_source(&path)?;
-            let mut config = ParConfig::default().jobs(jobs).validate(validate);
-            if let Some(b) = batch {
-                config = config.batch_events(b);
-            }
+            let config = ParConfig::default().jobs(jobs).validate(validate);
             let start = Instant::now();
             let report = par::check_all(&mut source, par::standard_checkers(), &config)
                 .map_err(|e| source_err(&path, &source, &e))?;
@@ -1352,12 +1304,9 @@ pub fn run(command: Command) -> Result<String, String> {
             }
             Ok(out)
         }
-        Command::Batch { path, jobs, batch, checker, seal_verify, validate } => {
+        Command::Batch { path, jobs, checker, seal_verify, validate } => {
             let paths = multi::discover(Path::new(&path))?;
-            let mut config = MultiConfig::default().jobs(jobs).validate(validate);
-            if let Some(b) = batch {
-                config = config.batch_events(b);
-            }
+            let config = MultiConfig::default().jobs(jobs).validate(validate);
             let report = multi::check_corpus(&paths, || checker.panel(), &config);
 
             // Sidecar verification reuses the verdicts the resident run
@@ -1462,10 +1411,10 @@ pub fn run(command: Command) -> Result<String, String> {
                 Ok(out)
             }
         }
-        Command::Validate { path, batch } => {
+        Command::Validate { path } => {
             let mut source = open_source(&path)?;
             let mut validator = Validator::new();
-            let mut arena = EventBatch::with_target(batch.unwrap_or(DEFAULT_BATCH_EVENTS));
+            let mut arena = EventBatch::new();
             'ingest: loop {
                 let refill = source.next_batch(&mut arena);
                 for &event in arena.events() {
@@ -1502,17 +1451,7 @@ pub fn run(command: Command) -> Result<String, String> {
             }
             Ok(out)
         }
-        Command::Generate {
-            path,
-            cfg,
-            profile,
-            overrides,
-            seal,
-            jobs,
-            corpus,
-            batch,
-            out_format,
-        } => {
+        Command::Generate { path, profile, overrides, seal, jobs, corpus, out_format } => {
             if let Some(traces) = corpus {
                 // A whole corpus: N varied traces plus a manifest, the
                 // input `rapid batch` expects. Defaults come from the
@@ -1536,7 +1475,7 @@ pub fn run(command: Command) -> Result<String, String> {
                 if seal {
                     for p in &paths {
                         let p = p.to_string_lossy();
-                        write_seal_with(&p, jobs, batch)?;
+                        write_seal(&p, jobs)?;
                     }
                     let _ = writeln!(msg, "sealed {} .expect sidecar(s)", paths.len());
                 }
@@ -1544,6 +1483,7 @@ pub fn run(command: Command) -> Result<String, String> {
             }
             // Streamed straight to disk: no Trace is materialised, so
             // `--events 10000000` works in constant memory.
+            let cfg = overrides.apply(workloads::GenConfig::default());
             let mut source: Box<dyn EventSource> = match profile {
                 Some(name) => match workloads::shapes::source(&name, &cfg) {
                     Some(shape) => {
@@ -1605,7 +1545,7 @@ pub fn run(command: Command) -> Result<String, String> {
                 // Reference verdicts come from re-reading the written
                 // log (not the generator), so the sidecar certifies the
                 // bytes on disk.
-                let text = write_seal_with(&path, jobs, batch)?;
+                let text = write_seal(&path, jobs)?;
                 let verdicts = text
                     .lines()
                     .filter(|l| l.contains(": violation@") || l.ends_with(": serializable"))
@@ -1664,14 +1604,12 @@ pub fn run(command: Command) -> Result<String, String> {
                 Ok(out)
             }
         }
-        Command::TwoPhase { path, phase_batch, batch, validate } => {
+        Command::TwoPhase { path, phase_batch, validate } => {
             let config = Config {
                 twophase_batch: phase_batch.unwrap_or(Config::DEFAULT_TWOPHASE_BATCH),
                 ..Config::default()
             };
-            let mut pipeline = Pipeline::new(open_source(&path)?)
-                .validate(validate)
-                .batch_events(batch.unwrap_or(DEFAULT_BATCH_EVENTS));
+            let mut pipeline = Pipeline::new(open_source(&path)?).validate(validate);
             let run = pipeline
                 .run_twophase(&config)
                 .map_err(|e| source_err(&path, pipeline.source(), &e))?;
@@ -1690,10 +1628,8 @@ pub fn run(command: Command) -> Result<String, String> {
             );
             Ok(out)
         }
-        Command::Causal { path, validate, batch } => {
-            let mut pipeline = Pipeline::new(open_source(&path)?)
-                .validate(validate)
-                .batch_events(batch.unwrap_or(DEFAULT_BATCH_EVENTS));
+        Command::Causal { path, validate } => {
+            let mut pipeline = Pipeline::new(open_source(&path)?).validate(validate);
             let (trace, _summary) =
                 pipeline.collect().map_err(|e| source_err(&path, pipeline.source(), &e))?;
             if trace.len() > 20_000 {
@@ -1921,8 +1857,10 @@ pub fn run(command: Command) -> Result<String, String> {
             // The "listening" line must be visible before the accept
             // loop blocks — scripts (and the smoke test) parse it to
             // learn the ephemeral port.
-            println!("rapid serve: listening on {local}");
-            let _ = std::io::Write::flush(&mut std::io::stdout());
+            let mut stdout = std::io::stdout();
+            writeln!(stdout, "rapid serve: listening on {local}")
+                .and_then(|()| stdout.flush())
+                .map_err(|e| format!("stdout: {e}"))?;
             server.run().map_err(|e| format!("{local}: {e}"))?;
             Ok(format!("rapid serve: {local} shut down\n"))
         }
@@ -1975,7 +1913,7 @@ mod tests {
     fn parses_metainfo() {
         assert_eq!(
             parse_args(&args(&["metainfo", "t.std"])).unwrap(),
-            Command::MetaInfo { path: "t.std".into(), batch: None }
+            Command::MetaInfo { path: "t.std".into() }
         );
         assert!(parse_args(&args(&["metainfo"])).is_err());
     }
@@ -1989,7 +1927,6 @@ mod tests {
                 path: "t.std".into(),
                 algorithm: Algorithm::Basic,
                 validate: true,
-                batch: None,
             }
         );
         assert!(parse_args(&args(&["aerodrome", "t.std", "--algorithm", "bogus"])).is_err());
@@ -2000,7 +1937,6 @@ mod tests {
                 path: "t.std".into(),
                 algorithm: Algorithm::Optimized,
                 validate: true,
-                batch: None,
             }
         );
         // `check` is an alias, and `--no-validate` opts out of the
@@ -2012,7 +1948,6 @@ mod tests {
                 path: "t.std".into(),
                 algorithm: Algorithm::Optimized,
                 validate: false,
-                batch: None,
             }
         );
     }
@@ -2021,14 +1956,15 @@ mod tests {
     fn parses_validate_subcommand() {
         assert_eq!(
             parse_args(&args(&["validate", "t.std"])).unwrap(),
-            Command::Validate { path: "t.std".into(), batch: None }
+            Command::Validate { path: "t.std".into() }
         );
         assert!(parse_args(&args(&["validate"])).is_err());
     }
 
-    /// The CLI has no per-trace sharding, chunk-parallel ingest or
-    /// Pearce–Kelly cycle detection (see docs/PERF.md): their flags and
-    /// the `partition` subcommand are usage errors that name them.
+    /// The CLI has no per-trace sharding, chunk-parallel ingest,
+    /// Pearce–Kelly cycle detection or ingest batch knob (see
+    /// docs/PERF.md): their flags and the `partition` subcommand are
+    /// usage errors that name them.
     #[test]
     fn removed_sharding_and_ingest_flags_are_rejected() {
         for (argv, named) in [
@@ -2041,6 +1977,111 @@ mod tests {
         ] {
             let err = parse_args(&args(argv)).unwrap_err();
             assert!(err.0.contains(&format!("`{named}`")), "{argv:?}: {err}");
+        }
+        for base in [
+            &["metainfo", "t.std"][..],
+            &["aerodrome", "t.std"],
+            &["check", "t.std"],
+            &["velodrome", "t.std"],
+            &["compare", "t.std"],
+            &["validate", "t.std"],
+            &["batch", "dir"],
+            &["generate", "o.std"],
+            &["twophase", "t.std"],
+            &["causal", "t.std"],
+            &["serve"],
+        ] {
+            let mut argv = args(base);
+            argv.extend(args(&["--batch", "64"]));
+            let err = parse_args(&argv).unwrap_err();
+            assert!(err.0.contains("unknown flag `--batch`"), "{base:?}: {err}");
+        }
+    }
+
+    /// A value each kind accepts.
+    fn valid_value(kind: Kind) -> Vec<&'static str> {
+        match kind {
+            Kind::Switch => vec![],
+            Kind::Count | Kind::Number => vec!["2"],
+            Kind::Real(_) => vec!["0.5"],
+            Kind::Text => vec!["x"],
+            Kind::Choice(names) => vec![names[0]],
+        }
+    }
+
+    /// The rejection matrix, read from the table: on every subcommand,
+    /// every count given 0 and every real out of its range is rejected,
+    /// every value flag given no value is rejected, and a valid value
+    /// still parses.
+    #[test]
+    fn every_table_flag_is_range_checked_on_every_subcommand() {
+        for spec in COMMANDS {
+            for name in spec.names {
+                let base: Vec<String> = std::iter::once(*name)
+                    .chain(spec.args.iter().map(|_| "x"))
+                    .map(str::to_owned)
+                    .collect();
+                for flag in spec.flags {
+                    let with = |value: &[&str]| {
+                        let mut argv = base.clone();
+                        argv.push(flag.name.to_owned());
+                        argv.extend(value.iter().map(|v| (*v).to_owned()));
+                        parse_args(&argv)
+                    };
+                    let valid = valid_value(flag.kind);
+                    with(&valid).unwrap_or_else(|e| panic!("{name} {} {valid:?}: {e}", flag.name));
+                    if flag.kind == Kind::Switch {
+                        continue;
+                    }
+                    let err = with(&[]).unwrap_err();
+                    assert!(
+                        err.0.contains(&format!("{} requires a value", flag.name)),
+                        "{name} {}: {err}",
+                        flag.name
+                    );
+                    let bad: &[&str] = match flag.kind {
+                        Kind::Count => &["0"],
+                        Kind::Real(max) if max.is_finite() => &["-1", "nan", "inf", "1.5"],
+                        Kind::Real(_) => &["-1", "nan", "inf"],
+                        Kind::Choice(_) => &["bogus"],
+                        Kind::Number => &["-1"],
+                        Kind::Switch | Kind::Text => &[],
+                    };
+                    for value in bad {
+                        let err = with(&[value]).unwrap_err();
+                        if flag.kind == Kind::Count {
+                            assert!(
+                                err.0.contains(&format!("{} must be positive", flag.name)),
+                                "{name} {} 0: {err}",
+                                flag.name
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // `--jobs` keeps its hint.
+        let err = parse_args(&args(&["serve", "--jobs", "0"])).unwrap_err();
+        assert!(err.0.contains("omit the flag for one worker per CPU"), "{err}");
+        // Unknown flags are named.
+        let err = parse_args(&args(&["causal", "t.std", "--bogus"])).unwrap_err();
+        assert_eq!(err.0, "unknown flag `--bogus`");
+    }
+
+    /// Every name a choice flag lists is one its command can build.
+    #[test]
+    fn choice_names_parse() {
+        for flag in COMMANDS.iter().flat_map(|spec| spec.flags) {
+            let Kind::Choice(names) = flag.kind else { continue };
+            for name in names {
+                let parses = match flag.name {
+                    "--algorithm" => Algorithm::parse(name).is_some(),
+                    "--checker" => CheckerChoice::parse(name).is_some(),
+                    "--out-format" => OutFormat::parse(name).is_some(),
+                    other => panic!("no parser for choice flag {other}"),
+                };
+                assert!(parses, "{} {name}", flag.name);
+            }
         }
     }
 
@@ -2073,16 +2114,22 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Generate { cfg, path, profile, overrides, .. } => {
+            Command::Generate { path, profile, overrides, .. } => {
                 assert_eq!(path, "o.std");
                 assert_eq!(profile, None);
-                assert_eq!(cfg.events, 500);
-                assert_eq!(cfg.threads, 3);
-                assert_eq!(cfg.seed, 9);
-                assert_eq!(cfg.violation_at, Some(0.5));
-                assert!(cfg.retention);
-                assert_eq!(overrides.events, Some(500));
-                assert_eq!(overrides.vars, None, "flags not given stay unset");
+                assert_eq!(
+                    overrides,
+                    GenOverrides {
+                        events: Some(500),
+                        threads: Some(3),
+                        seed: Some(9),
+                        violation_at: Some(0.5),
+                        retention: true,
+                        // Flags not given stay unset.
+                        vars: None,
+                        locks: None,
+                    }
+                );
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -2131,8 +2178,8 @@ mod tests {
     #[test]
     fn parses_compare_and_generate_out_format() {
         assert_eq!(
-            parse_args(&args(&["compare", "t.rbt", "--jobs", "2", "--batch", "64"])).unwrap(),
-            Command::Compare { path: "t.rbt".into(), jobs: 2, batch: Some(64), validate: true }
+            parse_args(&args(&["compare", "t.rbt", "--jobs", "2"])).unwrap(),
+            Command::Compare { path: "t.rbt".into(), jobs: 2, validate: true }
         );
 
         let cmd = parse_args(&args(&["generate", "o.rbt", "--out-format", "rbt"])).unwrap();
@@ -2163,33 +2210,26 @@ mod tests {
         let path = dir.join("t.std").to_string_lossy().into_owned();
         let out = run(Command::Generate {
             path: path.clone(),
-            cfg: Box::new(workloads::GenConfig {
-                events: 800,
-                violation_at: Some(0.5),
-                ..workloads::GenConfig::default()
-            }),
             profile: None,
-            overrides: GenOverrides::default(),
+            overrides: GenOverrides {
+                events: Some(800),
+                violation_at: Some(0.5),
+                ..GenOverrides::default()
+            },
             seal: false,
             jobs: 0,
             corpus: None,
-            batch: None,
             out_format: OutFormat::default(),
         })
         .unwrap();
         assert!(out.contains("wrote"));
 
-        let info = run(Command::MetaInfo { path: path.clone(), batch: None }).unwrap();
+        let info = run(Command::MetaInfo { path: path.clone() }).unwrap();
         assert!(info.contains("events:"));
 
         for algorithm in [Algorithm::Basic, Algorithm::ReadOpt, Algorithm::Optimized] {
-            let report = run(Command::Aerodrome {
-                path: path.clone(),
-                algorithm,
-                validate: true,
-                batch: None,
-            })
-            .unwrap();
+            let report =
+                run(Command::Aerodrome { path: path.clone(), algorithm, validate: true }).unwrap();
             assert!(report.contains('✗'), "expected violation: {report}");
             assert!(report.contains("clocks: joins="), "clock-core counters missing: {report}");
         }
@@ -2197,13 +2237,12 @@ mod tests {
             path: path.clone(),
             config: Config::default(),
             validate: true,
-            batch: None,
         })
         .unwrap();
         assert!(report.contains('✗'));
         assert!(report.contains("graph:"));
 
-        let report = run(Command::Validate { path: path.clone(), batch: None }).unwrap();
+        let report = run(Command::Validate { path: path.clone() }).unwrap();
         assert!(report.contains("well-formed"), "{report}");
     }
 
@@ -2214,26 +2253,22 @@ mod tests {
         let path = dir.join("hedc.std").to_string_lossy().into_owned();
         let out = run(Command::Generate {
             path,
-            cfg: Box::new(workloads::GenConfig::default()),
             profile: Some("hedc".into()),
             overrides: GenOverrides::default(),
             seal: false,
             jobs: 0,
             corpus: None,
-            batch: None,
             out_format: OutFormat::default(),
         })
         .unwrap();
         assert!(out.contains("wrote"));
         assert!(run(Command::Generate {
             path: "x".into(),
-            cfg: Box::new(workloads::GenConfig::default()),
             profile: Some("nonexistent".into()),
             overrides: GenOverrides::default(),
             seal: false,
             jobs: 0,
             corpus: None,
-            batch: None,
             out_format: OutFormat::default(),
         })
         .is_err());
@@ -2277,39 +2312,22 @@ mod twophase_causal_tests {
 
     #[test]
     fn parses_twophase_and_causal() {
-        // --phase-batch is the phase-1 cycle-check period; --batch is the
-        // uniform ingest batch.
-        let cmd = parse_args(&[
-            "twophase".into(),
-            "t.std".into(),
-            "--phase-batch".into(),
-            "64".into(),
-            "--batch".into(),
-            "512".into(),
-        ])
-        .unwrap();
+        // --phase-batch is the phase-1 cycle-check period.
+        let cmd =
+            parse_args(&["twophase".into(), "t.std".into(), "--phase-batch".into(), "64".into()])
+                .unwrap();
         assert_eq!(
             cmd,
-            Command::TwoPhase {
-                path: "t.std".into(),
-                phase_batch: Some(64),
-                batch: Some(512),
-                validate: true
-            }
+            Command::TwoPhase { path: "t.std".into(), phase_batch: Some(64), validate: true }
         );
         // Without --phase-batch the documented Config default applies.
         let cmd = parse_args(&["twophase".into(), "t.std".into()]).unwrap();
         assert_eq!(
             cmd,
-            Command::TwoPhase {
-                path: "t.std".into(),
-                phase_batch: None,
-                batch: None,
-                validate: true
-            }
+            Command::TwoPhase { path: "t.std".into(), phase_batch: None, validate: true }
         );
         let cmd = parse_args(&["causal".into(), "t.std".into()]).unwrap();
-        assert_eq!(cmd, Command::Causal { path: "t.std".into(), validate: true, batch: None });
+        assert_eq!(cmd, Command::Causal { path: "t.std".into(), validate: true });
         assert!(parse_args(&["twophase".into()]).is_err());
     }
 
@@ -2319,31 +2337,22 @@ mod twophase_causal_tests {
         let rho2 = tracelog::paper_traces::rho2();
         std::fs::write(&path, tracelog::write_trace(&rho2)).unwrap();
 
-        let out = run(Command::TwoPhase {
-            path: path.clone(),
-            phase_batch: Some(4),
-            batch: None,
-            validate: true,
-        })
-        .unwrap();
+        let out =
+            run(Command::TwoPhase { path: path.clone(), phase_batch: Some(4), validate: true })
+                .unwrap();
         assert!(out.contains('✗'), "{out}");
         assert!(out.contains("phase 1"));
 
-        let out = run(Command::Causal { path: path.clone(), validate: true, batch: None }).unwrap();
+        let out = run(Command::Causal { path: path.clone(), validate: true }).unwrap();
         assert!(out.contains("⋖-cycle"), "{out}");
 
         // Serializable trace: both report clean.
         let path = tmp("tp_ok.std");
         std::fs::write(&path, tracelog::write_trace(&tracelog::paper_traces::rho1())).unwrap();
-        let out = run(Command::TwoPhase {
-            path: path.clone(),
-            phase_batch: None,
-            batch: None,
-            validate: true,
-        })
-        .unwrap();
+        let out = run(Command::TwoPhase { path: path.clone(), phase_batch: None, validate: true })
+            .unwrap();
         assert!(out.contains('✓'));
-        let out = run(Command::Causal { path, validate: true, batch: None }).unwrap();
+        let out = run(Command::Causal { path, validate: true }).unwrap();
         assert!(out.contains("causally atomic"));
     }
 
@@ -2355,7 +2364,7 @@ mod twophase_causal_tests {
             ..workloads::GenConfig::default()
         });
         std::fs::write(&path, tracelog::write_trace(&trace)).unwrap();
-        assert!(run(Command::Causal { path, validate: true, batch: None }).is_err());
+        assert!(run(Command::Causal { path, validate: true }).is_err());
     }
 
     #[test]
@@ -2368,12 +2377,11 @@ mod twophase_causal_tests {
             path: path.clone(),
             algorithm: Algorithm::Optimized,
             validate: true,
-            batch: None,
         })
         .unwrap_err();
         assert!(err.contains("not well-formed"), "{err}");
         assert!(err.contains("line 2"), "{err}");
-        assert!(run(Command::Validate { path: path.clone(), batch: None }).is_err());
+        assert!(run(Command::Validate { path: path.clone() }).is_err());
 
         // The opt-out analyses the trace anyway (verdict meaningless but
         // the paper's algorithms do not crash).
@@ -2381,7 +2389,6 @@ mod twophase_causal_tests {
             path: path.clone(),
             algorithm: Algorithm::Optimized,
             validate: false,
-            batch: None,
         })
         .unwrap();
         assert!(out.contains("analysis:"), "{out}");
@@ -2393,26 +2400,20 @@ mod twophase_causal_tests {
             let path = tmp(&format!("{name}.std"));
             let out = run(Command::Generate {
                 path: path.clone(),
-                cfg: Box::new(workloads::GenConfig { events: 1_000, ..Default::default() }),
                 profile: Some(name.into()),
-                overrides: GenOverrides::default(),
+                overrides: GenOverrides { events: Some(1_000), ..GenOverrides::default() },
                 seal: false,
                 jobs: 0,
                 corpus: None,
-                batch: None,
                 out_format: OutFormat::default(),
             })
             .unwrap();
             assert!(out.contains("wrote"), "{out}");
-            let report = run(Command::Validate { path: path.clone(), batch: None }).unwrap();
+            let report = run(Command::Validate { path: path.clone() }).unwrap();
             assert!(report.contains("closed"), "{name}: {report}");
-            let report = run(Command::Aerodrome {
-                path,
-                algorithm: Algorithm::Optimized,
-                validate: true,
-                batch: None,
-            })
-            .unwrap();
+            let report =
+                run(Command::Aerodrome { path, algorithm: Algorithm::Optimized, validate: true })
+                    .unwrap();
             assert!(report.contains('✓'), "{name} shapes are serializable: {report}");
         }
     }
@@ -2483,11 +2484,12 @@ mod explore_fuzz_tests {
     /// so `rapid help` stays the discovery surface.
     #[test]
     fn usage_names_every_builtin() {
+        let usage = usage();
         for (name, _, _) in scenarios::BUILTINS {
-            assert!(USAGE.contains(name), "usage text must mention builtin `{name}`");
+            assert!(usage.contains(name), "usage text must mention builtin `{name}`");
         }
-        assert!(USAGE.contains("rapid explore"));
-        assert!(USAGE.contains("rapid fuzz"));
+        assert!(usage.contains("rapid explore"));
+        assert!(usage.contains("rapid fuzz"));
     }
 
     #[test]
@@ -2508,7 +2510,6 @@ mod explore_fuzz_tests {
         let verify = run(Command::Batch {
             path: dir,
             jobs: 1,
-            batch: None,
             checker: CheckerChoice::All,
             seal_verify: true,
             validate: true,
@@ -2588,17 +2589,15 @@ mod binfmt_cli_tests {
         let path = format!("{dir}/{name}");
         run(Command::Generate {
             path: path.clone(),
-            cfg: Box::new(workloads::GenConfig {
-                events,
-                violation_at: Some(0.5),
-                ..workloads::GenConfig::default()
-            }),
             profile: None,
-            overrides: GenOverrides::default(),
+            overrides: GenOverrides {
+                events: Some(events),
+                violation_at: Some(0.5),
+                ..GenOverrides::default()
+            },
             seal: false,
             jobs: 0,
             corpus: None,
-            batch: None,
             out_format: OutFormat::default(),
         })
         .unwrap();
@@ -2638,17 +2637,16 @@ mod binfmt_cli_tests {
         convert(&std_path, &rbt_path);
 
         // metainfo, validate, aerodrome, velodrome agree across encodings.
-        let info_std = run(Command::MetaInfo { path: std_path.clone(), batch: None }).unwrap();
-        let info_rbt = run(Command::MetaInfo { path: rbt_path.clone(), batch: None }).unwrap();
+        let info_std = run(Command::MetaInfo { path: std_path.clone() }).unwrap();
+        let info_rbt = run(Command::MetaInfo { path: rbt_path.clone() }).unwrap();
         assert_eq!(info_std, info_rbt, "metainfo must not depend on the encoding");
         for path in [&std_path, &rbt_path] {
-            let out = run(Command::Validate { path: path.clone(), batch: None }).unwrap();
+            let out = run(Command::Validate { path: path.clone() }).unwrap();
             assert!(out.contains("well-formed"), "{path}: {out}");
             let out = run(Command::Aerodrome {
                 path: path.clone(),
                 algorithm: Algorithm::Optimized,
                 validate: true,
-                batch: None,
             })
             .unwrap();
             assert!(out.contains('✗'), "{path}: {out}");
@@ -2664,9 +2662,8 @@ mod binfmt_cli_tests {
         let verdicts = |out: &str| -> Vec<String> {
             out.lines().filter(|l| l.contains('✗') || l.contains('✓')).map(str::to_owned).collect()
         };
-        let compare = |path: String| {
-            run(Command::Compare { path, jobs: 2, batch: Some(257), validate: true }).unwrap()
-        };
+        let compare =
+            |path: String| run(Command::Compare { path, jobs: 2, validate: true }).unwrap();
         let reference = compare(std_path);
         let out = compare(rbt_path);
         assert_eq!(verdicts(&out), verdicts(&reference), "{out}\nvs\n{reference}");
@@ -2683,7 +2680,6 @@ mod binfmt_cli_tests {
                 path: path.to_owned(),
                 algorithm: Algorithm::Optimized,
                 validate: true,
-                batch: Some(100),
             })
             .unwrap()
         };
@@ -2719,11 +2715,10 @@ mod binfmt_cli_tests {
                     path: evil.clone(),
                     algorithm: Algorithm::Optimized,
                     validate: true,
-                    batch: None,
                 },
-                Command::MetaInfo { path: evil.clone(), batch: None },
-                Command::Validate { path: evil.clone(), batch: None },
-                Command::Compare { path: evil.clone(), jobs: 1, batch: None, validate: true },
+                Command::MetaInfo { path: evil.clone() },
+                Command::Validate { path: evil.clone() },
+                Command::Compare { path: evil.clone(), jobs: 1, validate: true },
             ] {
                 let err = run(cmd).unwrap_err();
                 assert!(err.starts_with(&evil), "{err}");
@@ -2749,7 +2744,6 @@ mod binfmt_cli_tests {
         let out = run(Command::Batch {
             path: dir,
             jobs: 2,
-            batch: None,
             checker: CheckerChoice::All,
             seal_verify: true,
             validate: true,
@@ -2765,17 +2759,15 @@ mod binfmt_cli_tests {
         let path = format!("{dir}/g.rbt");
         let out = run(Command::Generate {
             path: path.clone(),
-            cfg: Box::new(workloads::GenConfig {
-                events: 900,
-                violation_at: Some(0.5),
-                ..workloads::GenConfig::default()
-            }),
             profile: None,
-            overrides: GenOverrides::default(),
+            overrides: GenOverrides {
+                events: Some(900),
+                violation_at: Some(0.5),
+                ..GenOverrides::default()
+            },
             seal: true,
             jobs: 1,
             corpus: None,
-            batch: None,
             out_format: OutFormat::Rbt,
         })
         .unwrap();
@@ -2804,7 +2796,6 @@ mod binfmt_cli_tests {
         let report = run(Command::Batch {
             path: dir,
             jobs: 2,
-            batch: None,
             checker: CheckerChoice::All,
             seal_verify: false,
             validate: true,
@@ -2857,7 +2848,7 @@ mod binfmt_cli_tests {
         let offset = tracelog::binfmt::HEADER_BYTES + 300 * 9;
         bytes[offset] = 0xEE;
         std::fs::write(&rbt_path, &bytes).unwrap();
-        let err = run(Command::MetaInfo { path: rbt_path, batch: None }).unwrap_err();
+        let err = run(Command::MetaInfo { path: rbt_path }).unwrap_err();
         assert!(err.contains("record 300 (chunk 1)"), "{err}");
     }
 }
@@ -2883,8 +2874,6 @@ mod serve_cli_tests {
                 "0.0.0.0:0",
                 "--jobs",
                 "4",
-                "--batch",
-                "512",
                 "--max-retained-bytes",
                 "1048576",
                 "--no-validate",
@@ -2894,7 +2883,6 @@ mod serve_cli_tests {
                 addr: "0.0.0.0:0".into(),
                 config: serve::ServeConfig {
                     jobs: 4,
-                    batch_events: 512,
                     validate: false,
                     max_retained_bytes: 1 << 20,
                 },
@@ -2948,58 +2936,5 @@ mod serve_cli_tests {
         assert!(parse_args(&args(&["loadgen", "--traces", "0"])).is_err());
         assert!(parse_args(&args(&["loadgen", "--events-per-sec", "-1"])).is_err());
         assert!(parse_args(&args(&["serve", "--bogus"])).is_err());
-    }
-
-    /// `--jobs 0` and `--batch 0` are rejected with a clear message on
-    /// EVERY subcommand that accepts the flag — one shared parser
-    /// helper, one behaviour.
-    #[test]
-    fn zero_jobs_and_zero_batch_are_rejected_everywhere() {
-        let jobs_takers: &[&[&str]] = &[
-            &["compare", "t.std"],
-            &["batch", "dir"],
-            &["generate", "o.std"],
-            &["explore", "racy-pair"],
-            &["fuzz", "t.std"],
-            &["serve"],
-        ];
-        for base in jobs_takers {
-            let mut argv = args(base);
-            argv.extend(args(&["--jobs", "0"]));
-            let err = parse_args(&argv).unwrap_err();
-            assert!(err.0.contains("--jobs must be positive"), "{base:?}: wrong error: {err}");
-            // A positive value still parses on the same subcommand.
-            let mut argv = args(base);
-            argv.extend(args(&["--jobs", "2"]));
-            parse_args(&argv).unwrap_or_else(|e| panic!("{base:?} --jobs 2: {e}"));
-        }
-        let batch_takers: &[&[&str]] = &[
-            &["metainfo", "t.std"],
-            &["aerodrome", "t.std"],
-            &["velodrome", "t.std"],
-            &["compare", "t.std"],
-            &["batch", "dir"],
-            &["validate", "t.std"],
-            &["generate", "o.std"],
-            &["twophase", "t.std"],
-            &["causal", "t.std"],
-            &["serve"],
-            &["loadgen"],
-        ];
-        for base in batch_takers {
-            let mut argv = args(base);
-            argv.extend(args(&["--batch", "0"]));
-            let err = parse_args(&argv).unwrap_err();
-            assert!(err.0.contains("--batch must be positive"), "{base:?}: wrong error: {err}");
-        }
-        // The other count flags share the same helper and message.
-        for (argv, flag) in [
-            (&["twophase", "t.std", "--phase-batch", "0"][..], "--phase-batch"),
-            (&["table1", "--budget", "0"][..], "--budget"),
-            (&["table2", "--budget", "0"][..], "--budget"),
-        ] {
-            let err = parse_args(&args(argv)).unwrap_err();
-            assert!(err.0.contains(&format!("{flag} must be positive")), "{argv:?}: {err}");
-        }
     }
 }

@@ -5,7 +5,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use rapid_cli::{parse_args, run, CheckerChoice, Command};
+use rapid_cli::{parse_args, run, CheckerChoice, Command, COMMANDS};
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| (*s).to_owned()).collect()
@@ -25,8 +25,6 @@ fn parses_batch_command() {
         "corpus/",
         "--jobs",
         "3",
-        "--batch",
-        "512",
         "--checker",
         "velodrome",
         "--no-validate",
@@ -37,7 +35,6 @@ fn parses_batch_command() {
         Command::Batch {
             path: "corpus/".into(),
             jobs: 3,
-            batch: Some(512),
             checker: CheckerChoice::Velodrome,
             seal_verify: false,
             validate: false,
@@ -49,7 +46,6 @@ fn parses_batch_command() {
         Command::Batch {
             path: "corpus/".into(),
             jobs: 0,
-            batch: None,
             checker: CheckerChoice::All,
             seal_verify: true,
             validate: true,
@@ -57,31 +53,27 @@ fn parses_batch_command() {
     );
     assert!(parse_args(&args(&["batch"])).is_err());
     assert!(parse_args(&args(&["batch", "c/", "--checker", "bogus"])).is_err());
-    assert!(parse_args(&args(&["batch", "c/", "--batch", "0"])).is_err());
     // Seal sidecars record the full panel; a partial panel cannot verify.
     assert!(parse_args(&args(&["batch", "c/", "--seal-verify", "--checker", "basic"])).is_err());
 }
 
+/// Every subcommand ingests with the library's default batch; `--batch`
+/// survives only on `loadgen`, where it sets the events per EVENTS frame.
 #[test]
-fn uniform_batch_flag_is_shared_by_every_ingesting_subcommand() {
-    for cmd in [
-        "metainfo",
-        "aerodrome",
-        "check",
-        "velodrome",
-        "compare",
-        "validate",
-        "twophase",
-        "causal",
-        "batch",
-    ] {
-        let parsed = parse_args(&args(&[cmd, "t.std", "--batch", "123"]));
-        assert!(parsed.is_ok(), "{cmd}: {parsed:?}");
-        let rejected = parse_args(&args(&[cmd, "t.std", "--batch", "0"]));
-        assert!(rejected.is_err(), "{cmd} must reject a zero batch");
+fn batch_flag_belongs_to_loadgen_alone() {
+    for spec in COMMANDS {
+        let takes = spec.flags.iter().any(|flag| flag.name == "--batch");
+        assert_eq!(takes, spec.names == ["loadgen"], "{:?}", spec.names);
+        for name in spec.names {
+            let mut argv = args(&[name]);
+            argv.extend(spec.args.iter().map(|_| "x".to_owned()));
+            argv.extend(args(&["--batch", "64"]));
+            match parse_args(&argv) {
+                Ok(_) => assert!(takes, "{name} accepted --batch"),
+                Err(e) => assert!(!takes && e.0 == "unknown flag `--batch`", "{name}: {e}"),
+            }
+        }
     }
-    // generate takes it too (for the --seal re-read pass).
-    assert!(parse_args(&args(&["generate", "o.std", "--batch", "64"])).is_ok());
 }
 
 #[test]

@@ -77,7 +77,7 @@ fn artifact_workflow_generate_metainfo_analyze() {
     let velo_no_gc = run_ok(&["velodrome", path_s, "--no-gc"]);
     assert!(velo_no_gc.contains('✗'));
 
-    let tp = run_ok(&["twophase", path_s, "--batch", "256"]);
+    let tp = run_ok(&["twophase", path_s, "--phase-batch", "256"]);
     assert!(tp.contains('✗'));
 
     // `check` is the streaming default path (aerodrome optimized).
@@ -140,7 +140,7 @@ fn compare_runs_every_checker_in_one_pass() {
     let clean = tmpfile("cmp_clean.std");
     let clean_s = clean.to_str().unwrap();
     run_ok(&["generate", clean_s, "--profile", "convoy", "--events", "3000"]);
-    let text = run_ok(&["compare", clean_s, "--jobs", "4", "--batch", "512"]);
+    let text = run_ok(&["compare", clean_s, "--jobs", "4"]);
     assert!(text.contains("consensus: ✓"), "{text}");
 
     // Bad flags fail with usage.
@@ -190,4 +190,31 @@ fn generate_with_profile() {
     assert!(text.contains("wrote"));
     let info = run_ok(&["metainfo", path_s]);
     assert!(info.contains("transactions: 0"), "{info}");
+}
+
+/// A reader that went away is not a crash: output to a closed pipe ends
+/// the run quietly with the status it earned, never a panic (exit 101).
+#[test]
+fn closed_output_pipe_is_not_a_panic() {
+    let path = tmpfile("pipe.std");
+    let path_s = path.to_str().unwrap();
+    std::fs::write(&path, "t1|begin|0\nt1|end|1\n").unwrap();
+    // `help` writes to stdout; a usage error writes to stderr.
+    for (argv, to_stderr) in
+        [(&["help"][..], false), (&["twophase", path_s, "--phase-batch", "0"][..], true)]
+    {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let mut cmd = rapid();
+        cmd.args(argv);
+        if to_stderr {
+            cmd.stderr(writer);
+        } else {
+            cmd.stdout(writer).stderr(std::process::Stdio::piped());
+        }
+        let out = cmd.output().expect("spawn rapid");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(if to_stderr { 2 } else { 0 }), "{argv:?}: {stderr}");
+    }
 }

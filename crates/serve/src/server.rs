@@ -59,8 +59,6 @@ const IDLE_SLEEP: Duration = Duration::from_micros(300);
 pub struct ServeConfig {
     /// Worker threads; `0` (default) means one per available CPU.
     pub jobs: usize,
-    /// Events per session [`tracelog::stream::EventBatch`] arena.
-    pub batch_events: usize,
     /// Run the online well-formedness validator (default `true`).
     pub validate: bool,
     /// Global retained-clock budget in bytes
@@ -70,12 +68,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            jobs: 0,
-            batch_events: DEFAULT_BATCH_EVENTS,
-            validate: true,
-            max_retained_bytes: DEFAULT_MAX_RETAINED_BYTES,
-        }
+        Self { jobs: 0, validate: true, max_retained_bytes: DEFAULT_MAX_RETAINED_BYTES }
     }
 }
 
@@ -439,7 +432,7 @@ fn admit(
     }
     Some(Conn {
         stream,
-        session: Session::new(make_panel(), config.validate, config.batch_events),
+        session: Session::new(make_panel(), config.validate, DEFAULT_BATCH_EVENTS),
         frames: FrameBuf::new(),
         outbuf: Vec::new(),
         out_pos: 0,

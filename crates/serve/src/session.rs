@@ -90,7 +90,9 @@ impl std::fmt::Debug for Session {
 }
 
 impl Session {
-    /// Creates a session owning `checkers` as its panel.
+    /// Creates a session owning `checkers` as its panel. `batch_events`
+    /// is only the starting capacity of the event arena: each EVENTS
+    /// frame is decoded into it whole.
     #[must_use]
     pub fn new(checkers: Vec<SendChecker>, validate: bool, batch_events: usize) -> Self {
         let violations = vec![None; checkers.len()];

@@ -166,9 +166,9 @@ impl<S: EventSource> Pipeline<S> {
     }
 
     /// Sets the events pulled per source refill (default
-    /// [`DEFAULT_BATCH_EVENTS`]) — the same knob as `rapid`'s uniform
-    /// `--batch` flag and [`par::ParConfig::batch_events`]. Semantics
-    /// never depend on it; only the call granularity does.
+    /// [`DEFAULT_BATCH_EVENTS`]) — the same knob as
+    /// [`par::ParConfig::batch_events`]. Semantics never depend on it;
+    /// only the call granularity does.
     ///
     /// # Panics
     ///
