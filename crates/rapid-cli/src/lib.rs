@@ -407,7 +407,7 @@ enum Value<'a> {
 
 impl Kind {
     /// Reads `raw` as the value of `flag`, rejecting it when it is out of
-    /// the kind's range.
+    /// the kind's range. A switch has no value and ignores `raw`.
     fn check<'a>(self, flag: &str, raw: &'a str) -> Result<Value<'a>, UsageError> {
         let invalid = |e: &dyn std::fmt::Display| UsageError(format!("{flag}: {e}"));
         match self {
@@ -534,6 +534,14 @@ impl<'a> Matches<'a> {
         }
     }
 
+    /// The value of a choice flag, read by `parse`. The table lists
+    /// exactly the names `parse` accepts, so a listed name that does not
+    /// parse is a bug in the table.
+    fn choice<T>(&self, flag: &str, parse: fn(&str) -> Option<T>) -> Option<T> {
+        let name = self.text(flag)?;
+        Some(parse(name).unwrap_or_else(|| panic!("{flag} `{name}` is listed but has no parse")))
+    }
+
     fn jobs(&self) -> usize {
         self.int("--jobs").unwrap_or(0)
     }
@@ -569,7 +577,7 @@ pub const COMMANDS: &[Spec] = &[
         build: |m| {
             Ok(Command::Aerodrome {
                 path: m.arg(0),
-                algorithm: m.text("--algorithm").and_then(Algorithm::parse).unwrap_or_default(),
+                algorithm: m.choice("--algorithm", Algorithm::parse).unwrap_or_default(),
                 validate: m.validate(),
             })
         },
@@ -606,7 +614,7 @@ pub const COMMANDS: &[Spec] = &[
             NO_VALIDATE,
         ],
         build: |m| {
-            let checker = m.text("--checker").and_then(CheckerChoice::parse).unwrap_or_default();
+            let checker = m.choice("--checker", CheckerChoice::parse).unwrap_or_default();
             let seal_verify = m.on("--seal-verify");
             if seal_verify && checker != CheckerChoice::All {
                 return Err(UsageError(
@@ -808,7 +816,7 @@ fn build_generate(m: &Matches<'_>) -> Result<Command, UsageError> {
         seal: m.on("--seal"),
         jobs: m.jobs(),
         corpus,
-        out_format: m.text("--out-format").and_then(OutFormat::parse).unwrap_or_default(),
+        out_format: m.choice("--out-format", OutFormat::parse).unwrap_or_default(),
     })
 }
 
@@ -860,17 +868,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
             .iter()
             .find(|flag| flag.name == arg)
             .ok_or_else(|| UsageError(format!("unknown flag `{arg}`")))?;
-        let value = match flag.kind {
-            Kind::Switch => Value::Switch,
-            kind => {
-                i += 1;
-                let raw = args
-                    .get(i)
-                    .ok_or_else(|| UsageError(format!("{} requires a value", flag.name)))?;
-                kind.check(flag.name, raw)?
-            }
+        let raw = if flag.kind == Kind::Switch {
+            ""
+        } else {
+            i += 1;
+            args.get(i)
+                .ok_or_else(|| UsageError(format!("{} requires a value", flag.name)))?
+                .as_str()
         };
-        m.flags.push((flag.name, value));
+        m.flags.push((flag.name, flag.kind.check(flag.name, raw)?));
         i += 1;
     }
     (spec.build)(&m)
@@ -1998,21 +2004,22 @@ mod tests {
         }
     }
 
-    /// A value each kind accepts.
-    fn valid_value(kind: Kind) -> Vec<&'static str> {
+    /// Values each kind accepts: every name of a choice, one value of
+    /// any other kind (none for a switch).
+    fn valid_values(kind: Kind) -> Vec<Vec<&'static str>> {
         match kind {
-            Kind::Switch => vec![],
-            Kind::Count | Kind::Number => vec!["2"],
-            Kind::Real(_) => vec!["0.5"],
-            Kind::Text => vec!["x"],
-            Kind::Choice(names) => vec![names[0]],
+            Kind::Switch => vec![vec![]],
+            Kind::Count | Kind::Number => vec![vec!["2"]],
+            Kind::Real(_) => vec![vec!["0.5"]],
+            Kind::Text => vec![vec!["x"]],
+            Kind::Choice(names) => names.iter().map(|name| vec![*name]).collect(),
         }
     }
 
     /// The rejection matrix, read from the table: on every subcommand,
     /// every count given 0 and every real out of its range is rejected,
     /// every value flag given no value is rejected, and a valid value
-    /// still parses.
+    /// (each name of a choice) still parses and builds its command.
     #[test]
     fn every_table_flag_is_range_checked_on_every_subcommand() {
         for spec in COMMANDS {
@@ -2028,8 +2035,10 @@ mod tests {
                         argv.extend(value.iter().map(|v| (*v).to_owned()));
                         parse_args(&argv)
                     };
-                    let valid = valid_value(flag.kind);
-                    with(&valid).unwrap_or_else(|e| panic!("{name} {} {valid:?}: {e}", flag.name));
+                    for valid in valid_values(flag.kind) {
+                        with(&valid)
+                            .unwrap_or_else(|e| panic!("{name} {} {valid:?}: {e}", flag.name));
+                    }
                     if flag.kind == Kind::Switch {
                         continue;
                     }
@@ -2066,23 +2075,6 @@ mod tests {
         // Unknown flags are named.
         let err = parse_args(&args(&["causal", "t.std", "--bogus"])).unwrap_err();
         assert_eq!(err.0, "unknown flag `--bogus`");
-    }
-
-    /// Every name a choice flag lists is one its command can build.
-    #[test]
-    fn choice_names_parse() {
-        for flag in COMMANDS.iter().flat_map(|spec| spec.flags) {
-            let Kind::Choice(names) = flag.kind else { continue };
-            for name in names {
-                let parses = match flag.name {
-                    "--algorithm" => Algorithm::parse(name).is_some(),
-                    "--checker" => CheckerChoice::parse(name).is_some(),
-                    "--out-format" => OutFormat::parse(name).is_some(),
-                    other => panic!("no parser for choice flag {other}"),
-                };
-                assert!(parses, "{} {name}", flag.name);
-            }
-        }
     }
 
     #[test]
@@ -2653,22 +2645,30 @@ mod binfmt_cli_tests {
         }
     }
 
+    /// The single-pass panel over an `.rbt` file gives the same verdicts
+    /// as over its `.std` original. A 257-event batch makes each ingest
+    /// cross many batch seams, none aligned with the 256-event chunks.
     #[test]
     fn compare_verdicts_are_identical_across_encodings() {
         let dir = tmp_dir("compare");
         let std_path = generate_std(&dir, "t.std", 3_000);
         let rbt_path = format!("{dir}/t.rbt");
         convert(&std_path, &rbt_path);
-        let verdicts = |out: &str| -> Vec<String> {
-            out.lines().filter(|l| l.contains('✗') || l.contains('✓')).map(str::to_owned).collect()
+        let config = ParConfig::default().jobs(2).batch_events(257);
+        let compare = |path: &str| {
+            let report =
+                par::check_all(&mut open_source(path).unwrap(), par::standard_checkers(), &config)
+                    .unwrap();
+            assert!(report.stats.batches > 1, "{path}: one batch crosses no seam");
+            report.runs.into_iter().map(|run| (run.name, run.outcome)).collect::<Vec<_>>()
         };
-        let compare =
-            |path: String| run(Command::Compare { path, jobs: 2, validate: true }).unwrap();
-        let reference = compare(std_path);
-        let out = compare(rbt_path);
-        assert_eq!(verdicts(&out), verdicts(&reference), "{out}\nvs\n{reference}");
+        let reference = compare(&std_path);
+        assert!(reference.iter().all(|(_, outcome)| outcome.is_violation()), "{reference:?}");
+        assert_eq!(compare(&rbt_path), reference);
     }
 
+    /// As above for one checker through the sequential pipeline, whose
+    /// 100-event batches also cross the chunk boundaries.
     #[test]
     fn check_verdict_is_identical_across_encodings() {
         let dir = tmp_dir("check-encodings");
@@ -2676,18 +2676,14 @@ mod binfmt_cli_tests {
         let rbt_path = format!("{dir}/t.rbt");
         convert(&std_path, &rbt_path);
         let check = |path: &str| {
-            run(Command::Aerodrome {
-                path: path.to_owned(),
-                algorithm: Algorithm::Optimized,
-                validate: true,
-            })
-            .unwrap()
+            let mut pipeline = Pipeline::new(open_source(path).unwrap()).batch_events(100);
+            pipeline.run(&mut OptimizedChecker::new()).unwrap()
         };
         let reference = check(&std_path);
+        assert!(reference.outcome.is_violation(), "{:?}", reference.outcome);
         let binary = check(&rbt_path);
-        let verdict =
-            |out: &str| out.lines().find(|l| l.starts_with("verdict:")).map(str::to_owned);
-        assert_eq!(verdict(&binary), verdict(&reference), "{binary}\nvs\n{reference}");
+        assert_eq!(binary.outcome, reference.outcome);
+        assert_eq!(binary.events, reference.events);
     }
 
     /// An `.rbt` footer whose counts overflow the offset arithmetic is
